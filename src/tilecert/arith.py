@@ -1,7 +1,9 @@
 """Small exact number-theory helpers shared across the package.
 
-Everything here is plain trial-division arithmetic: the whole toolkit
-operates at desk scale, where inputs fit comfortably below 10**7.
+Everything here is integer-only.  Factorization is trial division, which
+is enough at desk scale, where inputs fit comfortably below 10**7; the
+inverse-totient enumeration sieves its primes once and builds its
+results from prime powers, factorizing nothing.
 """
 
 from __future__ import annotations
@@ -71,3 +73,47 @@ def prime_power(n: int) -> tuple[int, int] | None:
 def lcm_all(values) -> int:
     """lcm of an iterable of positive integers; 1 for an empty iterable."""
     return math.lcm(*values)
+
+
+def _primes_up_to(n: int) -> list[int]:
+    """All primes p <= n, ascending (sieve of Eratosthenes)."""
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p, flag in enumerate(sieve) if flag]
+
+
+@lru_cache(maxsize=256)
+def totient_at_most(bound: int) -> tuple[int, ...]:
+    """All s >= 2 with euler_phi(s) <= bound, ascending.
+
+    Every prime p dividing s has p - 1 dividing phi(s), so only primes
+    p <= bound + 1 can occur.  A depth-first search multiplies in prime
+    powers p**a in increasing p while the running totient, the product
+    of the factors p**(a-1) * (p-1), stays within the bound.  Each s is
+    reached once, along its factorization, and since phi is
+    multiplicative the running product there is phi(s).  Memoized:
+    batch runs ask for the same few bounds.
+    """
+    primes = _primes_up_to(bound + 1)
+    found: list[int] = []
+
+    def extend(start: int, s: int, phi: int) -> None:
+        for i in range(start, len(primes)):
+            p = primes[i]
+            phi_p = phi * (p - 1)
+            if phi_p > bound:
+                break
+            s_p = s * p
+            while phi_p <= bound:
+                found.append(s_p)
+                extend(i + 1, s_p, phi_p)
+                s_p *= p
+                phi_p *= p
+
+    extend(0, 1, 1)
+    return tuple(sorted(found))

@@ -15,11 +15,12 @@ which is safe for concurrent read/insert under CPython.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .arith import divisors, euler_phi, prime_power
+from .arith import euler_phi, factorize, prime_power
 
 
 @dataclass(init=False, frozen=True)
@@ -156,23 +157,60 @@ def x_pow_minus_one(n: int) -> IntPoly:
     return IntPoly([-1] + [0] * (n - 1) + [1])
 
 
+def _times_binomial(coeffs: list[int], d: int) -> list[int]:
+    """Coefficients of the product with x**d - 1: one pass, no general multiply."""
+    shifted = [0] * d + coeffs
+    negated = [-c for c in coeffs] + [0] * d
+    return [u + v for u, v in zip(shifted, negated)]
+
+
+def _over_binomial(coeffs: list[int], d: int) -> list[int]:
+    """Coefficients of the exact quotient by x**d - 1: one pass, no general divrem.
+
+    Raises ArithmeticError when x**d - 1 does not divide, so the check
+    survives ``python -O``.
+    """
+    rem = list(coeffs)
+    for i in range(len(rem) - 1, d - 1, -1):
+        rem[i - d] += rem[i]
+    if any(rem[:d]):
+        raise ArithmeticError(f"x^{d} - 1 does not divide the polynomial")
+    return rem[d:]
+
+
 @lru_cache(maxsize=None)
 def cyclotomic(s: int) -> IntPoly:
     """The s-th cyclotomic polynomial, for s >= 1.
 
-    Computed by dividing x**s - 1 exactly by the cyclotomic polynomials
-    of all proper divisors of s; results are memoized, so repeated use
-    costs one dict lookup.
+    Let r = rad(s) be the product of the distinct primes of s.  Then
+    Phi_s(x) = Phi_r(x**(s/r)), and Moebius inversion of
+    x**n - 1 = prod over d | n of Phi_d(x) gives
+
+        Phi_r(x) = prod over d | r of (x**d - 1)**mu(r/d).
+
+    The factors with mu(r/d) = +1 are multiplied in first, then each
+    factor with mu(r/d) = -1 is divided out exactly.  Every step is one
+    linear pass against a binomial: no long division, and no smaller
+    cyclotomic polynomial is built.  Results are memoized, so repeated
+    use costs one dict lookup.
     """
     if s < 1:
         raise ValueError("cyclotomic index must be >= 1")
-    poly = x_pow_minus_one(s)
-    for d in divisors(s):
-        if d == s:
-            continue
-        poly, rem = poly.divrem(cyclotomic(d))
-        assert rem.is_zero()
-    return poly
+    primes = [p for p, _ in factorize(s)]
+    terms = [(1, (-1) ** len(primes))]  # (d, mu(r/d)) for each divisor d of r
+    for p in primes:
+        terms += [(d * p, -mu) for d, mu in terms]
+    coeffs = [1]
+    for d, mu in terms:
+        if mu > 0:
+            coeffs = _times_binomial(coeffs, d)
+    for d, mu in terms:
+        if mu < 0:
+            coeffs = _over_binomial(coeffs, d)
+    stride = s // math.prod(primes)
+    spread = [0] * (stride * (len(coeffs) - 1) + 1)
+    spread[::stride] = coeffs
+    return IntPoly(spread)
 
 
 def cyclotomic_at_one(s: int) -> int:

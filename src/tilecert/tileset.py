@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .arith import euler_phi, prime_power
+from .arith import prime_power, totient_at_most
 from .intpoly import IntPoly, cyclotomic_at_one, divides_cyclotomic
 
 
@@ -99,20 +99,19 @@ def char_poly(a: IntSet) -> IntPoly:
 
 
 def cyclotomic_divisor_indices(p: IntPoly) -> list[int]:
-    """All s >= 2 whose cyclotomic polynomial divides the nonzero polynomial p.
+    """All s >= 2 whose cyclotomic polynomial divides the nonzero polynomial p, ascending.
 
-    Candidates are bounded by the degree: a divisor of index s has degree
-    phi(s) <= deg p, and phi(s) > sqrt(s/2) for s >= 2, so scanning
-    s <= 2*deg**2 + 1 and filtering on phi(s) <= deg is exhaustive.
+    A divisor of index s has degree phi(s) <= deg p, so only those s are
+    tested, and they are enumerated directly: every prime q dividing s
+    has q - 1 dividing phi(s), hence q <= deg p + 1, and s is a product
+    of prime powers q**a whose factors q**(a-1) * (q-1) multiply to
+    phi(s) <= deg p.  ``totient_at_most`` lists exactly those s, so the
+    candidate list is complete.
     """
     deg = p.degree()
     if deg is None:
         raise ValueError("polynomial must be nonzero")
-    found = []
-    for s in range(2, 2 * deg * deg + 2):
-        if euler_phi(s) <= deg and divides_cyclotomic(p, s):
-            found.append(s)
-    return found
+    return [s for s in totient_at_most(deg) if divides_cyclotomic(p, s)]
 
 
 def divisors_of_poly(p: IntPoly) -> CycloDivisors:

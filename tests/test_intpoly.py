@@ -11,7 +11,7 @@ from tilecert.intpoly import (
     x_pow_minus_one,
 )
 
-# Textbook table, frozen independently of the recursion under test.
+# Textbook table, frozen independently of the construction under test.
 KNOWN_CYCLOTOMICS = {
     1: (-1, 1),
     2: (1, 1),
@@ -129,6 +129,17 @@ def test_cyclotomic_product_identity():
 
 def test_cyclotomic_105_has_coefficient_minus_two():
     assert min(cyclotomic(105).coeffs) == -2
+
+
+def test_binomial_quotient_is_exact_or_raises():
+    from tilecert.intpoly import _over_binomial
+
+    assert _over_binomial(list(x_pow_minus_one(6).coeffs), 2) == [1, 0, 1, 0, 1]
+    # an ArithmeticError, not an assert, so the check survives python -O
+    with pytest.raises(ArithmeticError):
+        _over_binomial([1, 1, 1], 2)
+    with pytest.raises(ArithmeticError):
+        _over_binomial([1, 1], 3)
 
 
 def test_cyclotomic_rejects_zero():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from tilecert import spectra
 from tilecert.intpoly import IntPoly
 from tilecert.spectra import (
     RationalSpectrum,
@@ -63,12 +64,49 @@ def test_verify_spectrum_examples():
     assert not verify_spectrum(IntSet([0, 1, 3, 4]), RationalSpectrum([F(1, 3)]))
 
 
-def test_verify_rejects_duplicates_and_zero():
+def _record_root_tests(monkeypatch) -> list[int]:
+    """Route spectra.is_root_of through a recorder of the denominators it is asked about."""
+    asked = []
+    real = spectra.is_root_of
+
+    def recording(p, delta):
+        asked.append(delta.denominator)
+        return real(p, delta)
+
+    monkeypatch.setattr(spectra, "is_root_of", recording)
+    return asked
+
+
+def test_verify_rejects_duplicates_and_zero(monkeypatch):
+    asked = _record_root_tests(monkeypatch)
     p = char_poly(IntSet([0, 1]))
     assert not verify_spectrum_poly(p, [F(1, 2), F(1, 2)])
     assert not verify_spectrum_poly(p, [F(0)])
+    assert not verify_spectrum_poly(p, [F(1)])
+    assert not verify_spectrum_poly(p, [F(1, 2), F(3, 2)])
+    # distinctness is checked before any root test
+    assert asked == []
     # values are reduced mod 1 before checking
     assert verify_spectrum_poly(p, [F(3, 2)])
+
+
+def test_verify_rejects_a_single_failing_denominator():
+    # (1+x)(1+x+x^2) has the roots of orders 2 and 3 but not those of
+    # order 6; of the pairs drawn from {0, 1/2, 1/3} only 1/2 - 1/3 fails
+    thetas = [F(1, 2), F(1, 3)]
+    assert not verify_spectrum_poly(IntPoly([1, 2, 2, 1]), thetas)
+    assert verify_spectrum_poly(char_poly(IntSet(range(6))), thetas)
+
+
+def test_verify_tests_each_denominator_once(monkeypatch):
+    a = IntSet(range(64))
+    spectrum = construct_spectrum(a)
+    assert len(spectrum) == 63
+    pts = [F(0), *spectrum]
+    denominators = {((u - v) % 1).denominator for u, v in itertools.combinations(pts, 2)}
+    asked = _record_root_tests(monkeypatch)
+    assert verify_spectrum(a, spectrum)
+    assert sorted(asked) == sorted(denominators)
 
 
 def test_progression_spectrum_family():
