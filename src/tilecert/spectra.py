@@ -21,12 +21,11 @@ runs a complete clique search over all candidate fractions.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .arith import lcm_all, prime_power
+from .arith import prime_power
 from .intpoly import IntPoly, divides_cyclotomic
 from .tileset import IntSet, char_poly, cyclotomic_divisors, divisors_of_poly, check_t1, check_t2
 
@@ -94,22 +93,17 @@ def verify_spectrum_poly(p: IntPoly, thetas: Sequence[Fraction]) -> bool:
     """Check the root condition for every pair drawn from thetas plus 0.
 
     Values are taken mod 1 first; a repeated value (including a theta
-    congruent to 0) violates distinctness and yields False.  Whether a
-    difference is a root depends only on its reduced denominator, so the
-    root test runs once per distinct denominator among the pairwise
-    differences, not once per pair.  Only the root conditions are
-    checked here -- whether len(thetas) + 1 matches p evaluated at 1 is
-    the caller's concern.
+    congruent to 0) violates distinctness and yields False.  Only the
+    root conditions are checked here -- whether len(thetas) + 1 matches
+    p evaluated at 1 is the caller's concern.
     """
     pts = [Fraction(0)] + [Fraction(t) % 1 for t in thetas]
     if len(set(pts)) != len(pts):
         return False
-    # On the common denominator the values become distinct integers in
-    # [0, common), and (u - v)/common reduces to denominator common/gcd.
-    common = lcm_all(t.denominator for t in pts)
-    nums = [t.numerator * (common // t.denominator) for t in pts]
-    denominators = {common // math.gcd(u - v, common) for u, v in itertools.combinations(nums, 2)}
-    return all(is_root_of(p, Fraction(1, q)) for q in sorted(denominators))
+    for u, v in itertools.combinations(pts, 2):
+        if not is_root_of(p, (u - v) % 1):
+            return False
+    return True
 
 
 def verify_spectrum(a: IntSet, spectrum: RationalSpectrum) -> bool:

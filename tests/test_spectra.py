@@ -98,17 +98,6 @@ def test_verify_rejects_a_single_failing_denominator():
     assert verify_spectrum_poly(char_poly(IntSet(range(6))), thetas)
 
 
-def test_verify_tests_each_denominator_once(monkeypatch):
-    a = IntSet(range(64))
-    spectrum = construct_spectrum(a)
-    assert len(spectrum) == 63
-    pts = [F(0), *spectrum]
-    denominators = {((u - v) % 1).denominator for u, v in itertools.combinations(pts, 2)}
-    asked = _record_root_tests(monkeypatch)
-    assert verify_spectrum(a, spectrum)
-    assert sorted(asked) == sorted(denominators)
-
-
 def test_progression_spectrum_family():
     # {0, m, ..., (n-1)m} carries the spectrum {k/(n*m) : k = 1..n-1}
     for m in range(1, 7):
