@@ -16,6 +16,7 @@ from .intpoly import (
     x_pow_minus_one,
 )
 from .tileset import (
+    CertificateError,
     CycloDivisors,
     IntSet,
     char_poly,
@@ -70,6 +71,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisReport",
+    "CertificateError",
     "CycloDivisors",
     "IntPoly",
     "IntSet",

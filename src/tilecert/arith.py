@@ -3,7 +3,10 @@
 Everything here is integer-only.  Factorization is trial division, which
 is enough at desk scale, where inputs fit comfortably below 10**7; the
 inverse-totient enumeration sieves its primes once and builds its
-results from prime powers, factorizing nothing.
+results from prime powers, factorizing nothing.  The root-of-unity
+search for the inventory's fast reject finds the least prime q = 1
+(mod s) by trial division along the progression s + 1, 2s + 1, ...,
+then searches small bases for an element of order exactly s mod q.
 """
 
 from __future__ import annotations
@@ -117,3 +120,31 @@ def totient_at_most(bound: int) -> tuple[int, ...]:
 
     extend(0, 1, 1)
     return tuple(sorted(found))
+
+
+@lru_cache(maxsize=None)
+def root_of_unity_mod_prime(s: int) -> tuple[int, int]:
+    """A prime q = 1 (mod s) and an element w of order exactly s mod q.
+
+    q is the least prime in s + 1, 2s + 1, ... (Dirichlet's theorem
+    makes the walk finite).  For g = 2, 3, ... the power w = g**((q-1)/s)
+    satisfies w**s = g**(q-1) = 1 by Fermat, and it has order exactly s
+    when w**(s/p) != 1 for every prime p dividing s; the units mod q are
+    cyclic, so a generator g ends the search at the latest.  Needs
+    s >= 2: for s = 1 the search would return q = 2 and w = 0, which is
+    not a root of unity.  Memoized: the inventory asks for the same
+    candidates for every polynomial.
+    """
+    if s < 2:
+        raise ValueError(f"root of unity order must be >= 2, got {s}")
+    q = s + 1
+    while not is_prime(q):
+        q += s
+    cofactors = [s // p for p, _ in factorize(s)]
+    k = (q - 1) // s
+    g = 2
+    while True:
+        w = pow(g, k, q)
+        if all(pow(w, c, q) != 1 for c in cofactors):
+            return q, w
+        g += 1

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -24,6 +25,17 @@ from .products import MAX_FACTORS, ProductSpec
 DEFAULT_LCAP = 1_000_000
 
 
+def _worker_count(text: str) -> int:
+    """Parse --workers: at least 1, clamped to the machine's CPU count."""
+    try:
+        workers = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid worker count {text!r}") from None
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"worker count must be at least 1, got {workers}")
+    return min(workers, os.cpu_count() or 1)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tilecert",
@@ -35,8 +47,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--lcap", type=int, default=DEFAULT_LCAP,
                        help="cap on the Granville period bound (default %(default)s)")
-        p.add_argument("--workers", type=int, default=1,
-                       help="worker processes for batch enumeration (default 1)")
+        p.add_argument("--workers", type=_worker_count, default=1,
+                       help="worker processes for batch enumeration, at most the "
+                            "CPU count (default 1)")
         p.add_argument("--human", action="store_true",
                        help="human-readable rendering instead of JSON")
 

@@ -271,6 +271,8 @@ def run_batch(
     workers: int = 1,
 ) -> dict:
     """Run one named check over a family; returns a deterministic summary dict."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     if family == "subsets":
         if check not in SUBSET_CHECKS:
             raise ValueError(f"unknown check {check!r} for family {family!r}")

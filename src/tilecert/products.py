@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .intpoly import IntPoly
-from .tileset import IntSet
+from .tileset import CertificateError, IntSet
 
 MAX_FACTORS = 8
 
@@ -247,5 +247,6 @@ def keller_violation_witness(spec: ProductSpec) -> KellerWitness | None:
         for j in range(r):
             pair = _pair_vector(spec, cycle[j], cycle[(j + 1) % r])
             vec = [a + b for a, b in zip(vec, pair)]
-    assert check_keller_violation(spec, vec), "witness construction failed"
+    if not check_keller_violation(spec, vec):
+        raise CertificateError(f"Keller witness {vec} for {spec} failed verification")
     return KellerWitness(tuple(vec))

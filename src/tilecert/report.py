@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .analysis import classify_prime_power_cyclotomic
 from .spectra import RationalSpectrum, construct_spectrum
-from .tileset import IntSet, char_poly, check_t1, check_t2, cyclotomic_divisors
+from .tileset import CertificateError, IntSet, char_poly, check_t1, check_t2, cyclotomic_divisors
 from .tiler import (
     PeriodCapExceeded,
     TilingCertificate,
@@ -100,8 +100,8 @@ def analyze_set(a: IntSet, cap: int | None = None) -> AnalysisReport:
         tiling = find_tiling(a, cap=cap)
     except PeriodCapExceeded:
         undecided = True
-    if tiling is not None:
-        assert verify_tiling(a, tiling)
+    if tiling is not None and not verify_tiling(a, tiling):
+        raise CertificateError(f"tiling certificate for {a} failed verification")
     return AnalysisReport(
         elements=a.elements,
         size=a.size,

@@ -27,7 +27,15 @@ from typing import Iterable, Sequence
 
 from .arith import prime_power
 from .intpoly import IntPoly, divides_cyclotomic
-from .tileset import IntSet, char_poly, cyclotomic_divisors, divisors_of_poly, check_t1, check_t2
+from .tileset import (
+    CertificateError,
+    IntSet,
+    char_poly,
+    check_t1,
+    check_t2,
+    cyclotomic_divisors,
+    divisors_of_poly,
+)
 
 
 @dataclass(init=False, frozen=True)
@@ -122,7 +130,7 @@ def construct_spectrum(a: IntSet) -> RationalSpectrum | None:
     taken mod 1, drops 0, and returns the rest.  Under (T1) there are
     exactly #A such sums and they are pairwise distinct, so the result
     has #A - 1 values; it is verified before being returned and a
-    failure there is an internal bug, not a caller error.
+    failure there raises ``CertificateError``.
     """
     if not (check_t1(a) and check_t2(a)):
         return None
@@ -137,8 +145,10 @@ def construct_spectrum(a: IntSet) -> RationalSpectrum | None:
         sums.add(sum(combo, Fraction(0)) % 1)
     sums.discard(Fraction(0))
     spectrum = RationalSpectrum(sums)
-    assert len(spectrum) == a.size - 1, "spectrum formula produced wrong count"
-    assert verify_spectrum(a, spectrum), "spectrum formula failed verification"
+    if len(spectrum) != a.size - 1:
+        raise CertificateError(f"spectrum formula for {a} produced {len(spectrum)} values")
+    if not verify_spectrum(a, spectrum):
+        raise CertificateError(f"spectrum formula for {a} failed verification")
     return spectrum
 
 
@@ -211,7 +221,8 @@ def spectrum_search_poly(p: IntPoly, target: int | None = None) -> RationalSpect
     if clique is None:
         return None
     spectrum = RationalSpectrum(candidates[v] for v in clique)
-    assert verify_spectrum_poly(p, spectrum.thetas)
+    if not verify_spectrum_poly(p, spectrum.thetas):
+        raise CertificateError(f"searched spectrum {spectrum} failed verification")
     return spectrum
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .arith import prime_power, totient_at_most
+from .arith import prime_power, root_of_unity_mod_prime, totient_at_most
 from .intpoly import IntPoly, cyclotomic_at_one, divides_cyclotomic
 
 
@@ -76,6 +76,14 @@ class IntSet:
         return "{" + ",".join(str(x) for x in self.elements) + "}"
 
 
+class CertificateError(RuntimeError):
+    """A certificate the library built failed its verifier.
+
+    This is an internal bug, never a caller error; the check is explicit
+    so that it still runs under ``python -O``.
+    """
+
+
 @dataclass(frozen=True)
 class CycloDivisors:
     """Cyclotomic divisor inventory of a characteristic polynomial.
@@ -102,16 +110,34 @@ def cyclotomic_divisor_indices(p: IntPoly) -> list[int]:
     """All s >= 2 whose cyclotomic polynomial divides the nonzero polynomial p, ascending.
 
     A divisor of index s has degree phi(s) <= deg p, so only those s are
-    tested, and they are enumerated directly: every prime q dividing s
-    has q - 1 dividing phi(s), hence q <= deg p + 1, and s is a product
-    of prime powers q**a whose factors q**(a-1) * (q-1) multiply to
+    tested, and they are enumerated directly: every prime r dividing s
+    has r - 1 dividing phi(s), hence r <= deg p + 1, and s is a product
+    of prime powers r**a whose factors r**(a-1) * (r-1) multiply to
     phi(s) <= deg p.  ``totient_at_most`` lists exactly those s, so the
     candidate list is complete.
+
+    Most candidates are rejected without a division.  For each s,
+    ``root_of_unity_mod_prime`` gives a prime q = 1 (mod s) and an
+    element w of order exactly s in the field of integers mod q.  Then w
+    is a root of x**s - 1, the product of the cyclotomic polynomials of
+    the divisors d of s, but of no x**d - 1 with d < s, which the
+    cyclotomic polynomial of index d divides; so w is a root of the
+    cyclotomic polynomial of index s mod q.  If that polynomial divides
+    p over the integers, p(w) = 0 (mod q) follows.  A nonzero p(w) mod q
+    therefore rules s out, and every s that survives is decided by the
+    exact division of ``divides_cyclotomic``, so the result equals the
+    unfiltered scan.
     """
     deg = p.degree()
     if deg is None:
         raise ValueError("polynomial must be nonzero")
-    return [s for s in totient_at_most(deg) if divides_cyclotomic(p, s)]
+    terms = [(i, c) for i, c in enumerate(p.coeffs) if c]
+    found = []
+    for s in totient_at_most(deg):
+        q, w = root_of_unity_mod_prime(s)
+        if sum(c * pow(w, i, q) for i, c in terms) % q == 0 and divides_cyclotomic(p, s):
+            found.append(s)
+    return found
 
 
 def divisors_of_poly(p: IntPoly) -> CycloDivisors:
@@ -155,9 +181,12 @@ def check_t2(a: IntSet) -> bool:
     Enumerates every combination that picks at most one prime power per
     prime and involves at least two distinct primes; the number of
     distinct primes is tiny at desk scale, so direct enumeration is fine.
+    Each product is looked up in the inventory, which holds every index
+    s >= 2 whose cyclotomic polynomial divides (one of degree phi(s)
+    above the polynomial's cannot), so no polynomial is divided here.
     """
     inv = cyclotomic_divisors(a)
-    poly = char_poly(a.normalized())
+    indices = set(inv.indices)
     prime_groups = list(inv.by_prime.values())
     for k in range(2, len(prime_groups) + 1):
         for groups in itertools.combinations(prime_groups, k):
@@ -165,6 +194,6 @@ def check_t2(a: IntSet) -> bool:
                 q = 1
                 for s in combo:
                     q *= s
-                if not divides_cyclotomic(poly, q):
+                if q not in indices:
                     return False
     return True

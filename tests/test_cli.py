@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import tilecert
 import tilecert.cli as cli
 
 
@@ -179,3 +183,44 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])
     assert exc.value.code == 0
+
+
+def test_analyze_under_optimize_flag_matches(capsys):
+    # certificate checks are explicit, so -O (which strips asserts) changes nothing
+    src = os.path.dirname(os.path.dirname(tilecert.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    optimized = subprocess.run(
+        [sys.executable, "-O", "-m", "tilecert.cli", "analyze", "0,1,8,9"],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert json.loads(optimized.stdout) == run_json(capsys, "analyze", "0,1,8,9")
+
+
+def _batch_args(*extra):
+    return ["batch", "subsets", "max_elem=4", "max_size=2", "--check", "granville-period", *extra]
+
+
+def test_workers_below_one_rejected_by_parser(capsys):
+    for value in ("0", "-3", "two"):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(_batch_args("--workers", value))
+        assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
+def test_workers_clamped_to_cpu_count():
+    cpus = os.cpu_count() or 1
+    parse = cli.build_parser().parse_args
+    assert parse(_batch_args()).workers == 1
+    assert parse(_batch_args("--workers", "1")).workers == 1
+    assert parse(_batch_args("--workers", str(cpus))).workers == cpus
+    assert parse(_batch_args("--workers", str(cpus + 1))).workers == cpus
+    assert parse(_batch_args("--workers", "1000000")).workers == cpus
+
+
+def test_run_batch_rejects_workers_below_one():
+    from tilecert.families import run_batch, subsets
+
+    for workers in (0, -1):
+        with pytest.raises(ValueError):
+            run_batch("subsets", subsets(3, 2), "granville-period", workers=workers)

@@ -4,8 +4,9 @@ import math
 import pytest
 
 from lattice import echelon, in_lattice
+from tilecert import products
 from tilecert.intpoly import IntPoly
-from tilecert.tileset import check_t1, check_t2
+from tilecert.tileset import CertificateError, check_t1, check_t2
 from tilecert.tiler import tiles_z
 from tilecert.products import (
     KellerWitness,
@@ -210,3 +211,9 @@ def test_scaling_invariance():
                 assert check_t1(pset) == check_t1(sset)
                 assert check_t2(pset) == check_t2(sset)
                 assert tiles_z(pset) == tiles_z(sset)
+
+
+def test_unverified_keller_witness_raises(monkeypatch):
+    monkeypatch.setattr(products, "check_keller_violation", lambda spec, vec: False)
+    with pytest.raises(CertificateError):
+        keller_violation_witness(ProductSpec([(1, 2), (3, 2)]))

@@ -1,7 +1,11 @@
 import itertools
 
+import pytest
+
+from tilecert import report
+
 from tilecert.report import analyze_set, product_report, tiling_report
-from tilecert.tileset import IntSet
+from tilecert.tileset import CertificateError, IntSet
 from tilecert.products import ProductSpec
 
 
@@ -76,3 +80,9 @@ def test_product_report_non_zero_one():
     # witness (1,-1) certifies the collision
     assert d["tower_order"] is None
     assert d["keller_witness"] == [1, -1]
+
+
+def test_unverified_tiling_raises(monkeypatch):
+    monkeypatch.setattr(report, "verify_tiling", lambda a, cert: False)
+    with pytest.raises(CertificateError):
+        analyze_set(IntSet([0, 2]))

@@ -16,7 +16,7 @@ from tilecert.spectra import (
     verify_spectrum,
     verify_spectrum_poly,
 )
-from tilecert.tileset import IntSet, char_poly
+from tilecert.tileset import CertificateError, IntSet, char_poly
 
 F = Fraction
 
@@ -196,3 +196,23 @@ def test_candidate_set_is_exactly_the_single_roots():
         for k in range(1, q):
             theta = F(k, q)
             assert is_root_of(p, theta) == (theta.denominator in index_set), theta
+
+
+def test_unverified_constructed_spectrum_raises(monkeypatch):
+    monkeypatch.setattr(spectra, "verify_spectrum", lambda a, spectrum: False)
+    with pytest.raises(CertificateError):
+        construct_spectrum(IntSet([0, 1]))
+
+
+def test_constructed_spectrum_of_wrong_size_raises(monkeypatch):
+    # (T1) fails on {0,1,3}, whose inventory is empty: forced through, the
+    # formula yields no values instead of two.
+    monkeypatch.setattr(spectra, "check_t1", lambda a: True)
+    with pytest.raises(CertificateError):
+        construct_spectrum(IntSet([0, 1, 3]))
+
+
+def test_unverified_searched_spectrum_raises(monkeypatch):
+    monkeypatch.setattr(spectra, "verify_spectrum_poly", lambda p, thetas: False)
+    with pytest.raises(CertificateError):
+        spectrum_search(IntSet([0, 1]))

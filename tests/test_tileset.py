@@ -1,8 +1,10 @@
 import itertools
+import math
 import random
 
 import pytest
 
+from tilecert.families import subsets
 from tilecert.intpoly import IntPoly, cyclotomic, divides_cyclotomic
 from tilecert.tileset import (
     IntSet,
@@ -109,6 +111,28 @@ def test_t2_failure_case():
     inv = cyclotomic_divisors(a)
     assert inv.prime_powers == (3, 8)
     assert not check_t2(a)
+
+
+def test_t2_matches_division_based_definition():
+    # (T2) reads the inventory; the definition divides by each cross-prime product.
+    def t2_by_division(a):
+        poly = char_poly(a.normalized())
+        groups = list(cyclotomic_divisors(a).by_prime.values())
+        return all(
+            divides_cyclotomic(poly, math.prod(combo))
+            for k in range(2, len(groups) + 1)
+            for chosen in itertools.combinations(groups, k)
+            for combo in itertools.product(*chosen)
+        )
+
+    # (T2) holds on every set of subsets(12, 5); the 6-element sets add
+    # the failing cases.
+    failures = 0
+    for a in subsets(12, 6):
+        holds = check_t2(a)
+        assert holds == t2_by_division(a), a
+        failures += not holds
+    assert failures > 0
 
 
 def test_divisor_indices_respect_degree_bound():
