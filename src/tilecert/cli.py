@@ -20,7 +20,7 @@ from .families import run_batch, subsets, three_factor_specs, two_factor_specs
 from .report import analyze_set, format_fraction, product_report, tiling_report
 from .spectra import construct_spectrum, parse_thetas, spectrum_search, verify_spectrum_poly
 from .tileset import IntSet, char_poly
-from .products import MAX_FACTORS, ProductSpec
+from .products import ProductSpec
 
 DEFAULT_LCAP = 1_000_000
 
@@ -194,8 +194,6 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "product":
         spec = ProductSpec.parse(args.spec)
-        if len(spec) > MAX_FACTORS:
-            raise ValueError(f"at most {MAX_FACTORS} factors supported")
         _emit({"command": "product", **product_report(spec, cap=args.lcap)}, args.human)
         return 0
 

@@ -20,9 +20,7 @@ from .tiler import TilingCertificate, brute_force_tiling, find_tiling, verify_ti
 from .products import (
     ProductSpec,
     check_keller_violation,
-    is_zero_one,
     keller_violation_witness,
-    product_poly,
     product_set,
     tower_condition,
     two_factor_condition,
@@ -107,16 +105,15 @@ class ProductFacts:
 
 
 def product_facts(spec: ProductSpec, with_spectrum: bool = False) -> ProductFacts:
-    zero_one = is_zero_one(product_poly(spec))
+    pset = product_set(spec)
+    zero_one = pset is not None
     tower = tower_condition(spec)
     witness_ok = None
     if tower is None:
         witness = keller_violation_witness(spec)
         witness_ok = witness is not None and check_keller_violation(spec, witness.vector)
     t1 = t2 = tiles = spectrum_ok = None
-    if zero_one:
-        pset = product_set(spec)
-        assert pset is not None
+    if pset is not None:
         t1 = check_t1(pset)
         t2 = check_t2(pset)
         tiles = find_tiling(pset) is not None

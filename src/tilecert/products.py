@@ -11,6 +11,15 @@ condition: some ordering of the factors satisfies, for every position k,
 
     n_k divides gcd( m_j / gcd(m_k, m_j) : j after k ).
 
+The tower is decided by peeling, with no limit on the number of
+factors: while some remaining factor can precede every other remaining
+one, remove the smallest such factor.  Deleting a factor keeps a valid
+ordering valid, so a valid head of a set that has a valid ordering
+starts one, and a set with no valid head has none; the peel therefore
+removes every factor exactly when the tower holds.  A valid ordering
+starts with a valid head, so taking the smallest one at each step gives
+the lexicographically first valid ordering.
+
 When the tower condition fails for every ordering, a witness vector can
 be extracted that violates Keller's cube-tiling property for the lattice
 W = {w : sum_i w_i * m_i = 0}: a nonzero w in W such that no coordinate
@@ -20,15 +29,12 @@ such a vector a certificate of non-tiling, independent of any search.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .intpoly import IntPoly
 from .tileset import CertificateError, IntSet
-
-MAX_FACTORS = 8
 
 
 @dataclass(init=False, frozen=True)
@@ -131,29 +137,40 @@ def normalize_gcd(spec: ProductSpec) -> ProductSpec:
     return ProductSpec((m // g, n) for m, n in spec.factors)
 
 
-def _first_ok(spec: ProductSpec, i: int, rest: Sequence[int]) -> bool:
-    # n_i must divide m_j / gcd(m_i, m_j) for every other remaining factor j.
-    m, n = spec.factors[i]
-    return all(
-        spec.factors[j][0] // math.gcd(m, spec.factors[j][0]) % n == 0
-        for j in rest
-        if j != i
-    )
+def _peel(spec: ProductSpec) -> tuple[list[int], list[int], list[list[bool]]]:
+    """The tower peel of the module docstring: (removed factors in order, factors left, blocks).
+
+    ``blocks[i][j]`` says factor i cannot precede factor j: n_i does not
+    divide m_j / gcd(m_i, m_j).  No factor is left exactly when the tower holds.
+    """
+    fs = spec.factors
+    blocks = [
+        [i != j and (mj // math.gcd(mi, mj)) % ni != 0 for j, (mj, _) in enumerate(fs)]
+        for i, (mi, ni) in enumerate(fs)
+    ]
+    # how many remaining factors each factor blocks, so the peel is O(N**2)
+    blocked = [sum(row) for row in blocks]
+    active = [True] * len(fs)
+    order = []
+    while True:
+        head = next((i for i, a in enumerate(active) if a and blocked[i] == 0), None)
+        if head is None:
+            break
+        active[head] = False
+        order.append(head)
+        for k, row in enumerate(blocks):
+            blocked[k] -= row[head]
+    return order, [i for i, a in enumerate(active) if a], blocks
 
 
 def tower_condition(spec: ProductSpec) -> tuple[int, ...] | None:
     """First factor ordering (as 0-based indices) satisfying the tower chain.
 
-    Orderings are tried in lexicographic index order, so the result is
+    The result is the lexicographically first valid ordering, so it is
     deterministic.  None means the chain fails for every ordering.
     """
-    n = len(spec)
-    if n > MAX_FACTORS:
-        raise ValueError(f"at most {MAX_FACTORS} factors supported")
-    for perm in itertools.permutations(range(n)):
-        if all(_first_ok(spec, perm[k], perm[k + 1:]) for k in range(n - 1)):
-            return perm
-    return None
+    order, rest, _ = _peel(spec)
+    return None if rest else tuple(order)
 
 
 def two_factor_condition(spec: ProductSpec) -> bool:
@@ -201,33 +218,18 @@ def keller_violation_witness(spec: ProductSpec) -> KellerWitness | None:
     """None when the tower condition holds; otherwise a violation witness.
 
     The construction follows the failure structure of the tower chain.
-    Factors for which every remaining ordering is already doomed are
-    peeled off one at a time (any witness on the remaining coordinates
-    is a witness for the whole spec, with zeros elsewhere).  Once no
-    factor can head an ordering, every remaining i has a partner
-    sigma(i) with n_i not dividing m_sigma(i)/d, and following sigma
-    yields a cycle i_1, ..., i_r.  If some consecutive pair also fails
-    the reverse divisibility, its pair vector alone is a witness;
-    otherwise the sum of the pair vectors around the cycle is.
+    The peel removes every factor that can head an ordering of the rest
+    (any witness on the remaining coordinates is a witness for the whole
+    spec, with zeros elsewhere).  Once it is stuck, every remaining i
+    has a partner sigma(i) with n_i not dividing m_sigma(i)/d, and
+    following sigma yields a cycle i_1, ..., i_r.  If some consecutive
+    pair also fails the reverse divisibility, its pair vector alone is a
+    witness; otherwise the sum of the pair vectors around the cycle is.
     """
-    if tower_condition(spec) is not None:
+    _, active, blocks = _peel(spec)
+    if not active:
         return None
-    active = list(range(len(spec)))
-    while True:
-        head = next((i for i in active if _first_ok(spec, i, active)), None)
-        if head is None:
-            break
-        # The tower fails overall, so it also fails on the rest after
-        # removing any valid head; recurse by shrinking the active set.
-        active.remove(head)
-
-    def fails(i: int, j: int) -> bool:
-        mi, mj = spec.factors[i][0], spec.factors[j][0]
-        return (mj // math.gcd(mi, mj)) % spec.factors[i][1] != 0
-
-    sigma = {}
-    for i in active:
-        sigma[i] = next(j for j in active if j != i and fails(i, j))
+    sigma = {i: next(j for j in active if blocks[i][j]) for i in active}
     path = [active[0]]
     seen = {active[0]: 0}
     while sigma[path[-1]] not in seen:
@@ -239,7 +241,7 @@ def keller_violation_witness(spec: ProductSpec) -> KellerWitness | None:
     vec: list[int] | None = None
     for j in range(r):
         i1, i2 = cycle[j], cycle[(j + 1) % r]
-        if fails(i2, i1):
+        if blocks[i2][i1]:
             vec = _pair_vector(spec, i1, i2)
             break
     if vec is None:

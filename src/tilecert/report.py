@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .analysis import classify_prime_power_cyclotomic
 from .spectra import RationalSpectrum, construct_spectrum
-from .tileset import CertificateError, IntSet, char_poly, check_t1, check_t2, cyclotomic_divisors
+from .tileset import CertificateError, IntSet, check_t1, check_t2, cyclotomic_divisors
 from .tiler import (
     PeriodCapExceeded,
     TilingCertificate,
@@ -22,9 +22,7 @@ from .tiler import (
 )
 from .products import (
     ProductSpec,
-    is_zero_one,
     keller_violation_witness,
-    product_poly,
     product_set,
     tower_condition,
     two_factor_condition,
@@ -92,8 +90,7 @@ def analyze_set(a: IntSet, cap: int | None = None) -> AnalysisReport:
     is skipped and the report carries tiling_undecided = True.
     """
     inv = cyclotomic_divisors(a)
-    deg = char_poly(a.normalized()).degree()
-    assert deg is not None
+    deg = a.elements[-1] - a.elements[0]
     tiling = None
     undecided = False
     try:
@@ -145,13 +142,12 @@ def product_report(spec: ProductSpec, cap: int | None = None) -> dict:
     conditions, spectrum) are only meaningful when the expanded product
     has 0/1 coefficients, and stay null otherwise.
     """
-    poly = product_poly(spec)
-    zero_one = is_zero_one(poly)
+    pset = product_set(spec)
     tower = tower_condition(spec)
     witness = None if tower is not None else keller_violation_witness(spec)
     out: dict = {
         "factors": [{"step": m, "length": n} for m, n in spec.factors],
-        "zero_one": zero_one,
+        "zero_one": pset is not None,
         "tower_order": None if tower is None else [i + 1 for i in tower],
         "two_factor_condition": (
             two_factor_condition(spec) if len(spec) == 2 else None
@@ -159,8 +155,6 @@ def product_report(spec: ProductSpec, cap: int | None = None) -> dict:
         "keller_witness": None if witness is None else list(witness.vector),
         "set_report": None,
     }
-    if zero_one:
-        pset = product_set(spec)
-        assert pset is not None
+    if pset is not None:
         out["set_report"] = analyze_set(pset, cap=cap).to_dict()
     return out

@@ -131,11 +131,18 @@ def cyclotomic_divisor_indices(p: IntPoly) -> list[int]:
     deg = p.degree()
     if deg is None:
         raise ValueError("polynomial must be nonzero")
-    terms = [(i, c) for i, c in enumerate(p.coeffs) if c]
+    # nonzero terms in ascending order as (gap to the previous exponent, coefficient),
+    # so that p(w) mod q is one chained pass of multiplications
+    exps = [i for i, c in enumerate(p.coeffs) if c]
+    terms = [(i - j, p.coeffs[i]) for i, j in zip(exps, [0] + exps)]
     found = []
     for s in totient_at_most(deg):
         q, w = root_of_unity_mod_prime(s)
-        if sum(c * pow(w, i, q) for i, c in terms) % q == 0 and divides_cyclotomic(p, s):
+        x, value = 1, 0
+        for gap, c in terms:
+            x = x * pow(w, gap, q) % q
+            value += c * x
+        if value % q == 0 and divides_cyclotomic(p, s):
             found.append(s)
     return found
 

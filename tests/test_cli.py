@@ -102,8 +102,10 @@ def test_product_command(capsys):
 def test_product_rejects_bad_input(capsys):
     assert run_cli(capsys, "product", "1:1")[0] == 2
     assert run_cli(capsys, "product", "nonsense")[0] == 2
-    nine = ",".join(["1:2"] * 9)
-    assert run_cli(capsys, "product", nine)[0] == 2
+    # there is no factor limit: nine factors get a verdict and a certificate
+    payload = run_json(capsys, "product", ",".join(["1:2"] * 9))
+    assert payload["tower_order"] is None
+    assert payload["keller_witness"] is not None
 
 
 def test_powersums_command(capsys):
@@ -189,11 +191,12 @@ def test_analyze_under_optimize_flag_matches(capsys):
     # certificate checks are explicit, so -O (which strips asserts) changes nothing
     src = os.path.dirname(os.path.dirname(tilecert.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    optimized = subprocess.run(
-        [sys.executable, "-O", "-m", "tilecert.cli", "analyze", "0,1,8,9"],
-        env=env, capture_output=True, text=True, check=True, timeout=60,
-    )
-    assert json.loads(optimized.stdout) == run_json(capsys, "analyze", "0,1,8,9")
+    for argv in (("analyze", "0,1,8,9"), ("product", "1:2,3:2")):
+        optimized = subprocess.run(
+            [sys.executable, "-O", "-m", "tilecert.cli", *argv],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert json.loads(optimized.stdout) == run_json(capsys, *argv)
 
 
 def _batch_args(*extra):
