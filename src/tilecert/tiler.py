@@ -10,8 +10,11 @@ tiles at all, it admits a tiling whose period divides
 
 The searcher therefore walks the divisors of L in increasing order and
 runs an exact-cover backtracking search per period; a returned None is
-sound because of that bound.  A separate brute-force searcher over an
-explicit period range exists as an independent cross-check oracle.
+sound because of that bound.  A brute-force searcher tries every period
+in an explicit range instead.  It runs the same exact-cover search, so
+agreement with it checks Granville's bound, not the search; the search
+itself is checked against the recursive exact cover it replaced, which
+the tests keep as an oracle.
 """
 
 from __future__ import annotations
@@ -68,39 +71,52 @@ def _complement_search(residues: Sequence[int], period: int) -> tuple[int, ...] 
     ``residues`` are the distinct residues of the (normalized) set mod
     ``period``, sorted, with 0 present.  Each step covers the smallest
     uncovered residue r: the only usable shifts are b = r - a mod period
-    for a in the set, and placing b either collides or covers #A fresh
-    residues.  Seeding B with 0 loses no generality, because any tiling
-    complement can be translated to contain 0.
+    for a in the set, tried in the order of ``residues``, and placing b
+    either collides or covers #A fresh residues.  Seeding B with 0 loses
+    no generality, because any tiling complement can be translated to
+    contain 0.
+
+    Sets of residues are Python ints used as bitsets, bit r standing for
+    residue r.  The set itself is the mask ``amask`` and the covered
+    residues are one int ``cov``.  The shift of the set by b mod period
+    is a rotation of ``amask``: the bits pushed past ``period`` by
+    ``amask << b`` wrap round to the bottom.  The smallest uncovered
+    residue is the lowest zero bit of ``cov``, which is the one bit of
+    ``~cov & (cov + 1)``, and a shift collides exactly when its rotation
+    meets ``cov``.  The backtracking runs on an explicit stack, one
+    entry per open depth holding that depth's covered mask and the next
+    index into ``residues`` to try there, so a complement of any size
+    needs no Python recursion.
     """
     size = len(residues)
     need = period // size
-    covered = bytearray(period)
+    full = (1 << period) - 1
+    amask = 0
     for r in residues:
-        covered[r] = 1
+        amask |= 1 << r
     chosen = [0]
-
-    def extend() -> bool:
-        if len(chosen) == need:
-            return True
-        r = covered.index(0)
-        for a in residues:
-            b = (r - a) % period
-            shifted = [(x + b) % period for x in residues]
-            if any(covered[s] for s in shifted):
-                continue
-            for s in shifted:
-                covered[s] = 1
-            chosen.append(b)
-            if extend():
-                return True
+    stack: list[tuple[int, int]] = []
+    cov, i = amask, 0
+    while len(chosen) < need:
+        r = (~cov & (cov + 1)).bit_length() - 1
+        while i < size:
+            b = (r - residues[i]) % period
+            i += 1
+            s = amask << b
+            s = (s & full) | (s >> period)
+            if not cov & s:
+                break
+        else:
+            if not stack:
+                return None
+            cov, i = stack.pop()
             chosen.pop()
-            for s in shifted:
-                covered[s] = 0
-        return False
-
-    if extend():
-        return tuple(sorted(chosen))
-    return None
+            continue
+        stack.append((cov, i))
+        chosen.append(b)
+        cov |= s
+        i = 0
+    return tuple(sorted(chosen))
 
 
 def search_periods(a: IntSet, periods: Iterable[int]) -> TilingCertificate | None:
@@ -138,7 +154,11 @@ def find_tiling(a: IntSet, cap: int | None = None) -> TilingCertificate | None:
 
 
 def brute_force_tiling(a: IntSet, max_period: int | None = None) -> TilingCertificate | None:
-    """Independent oracle: try every period up to 2*max(A) + 2 (or the override)."""
+    """Try every period up to 2*max(A) + 2 (or the override).
+
+    It shares the exact-cover search with find_tiling, so it cross-checks
+    Granville's period bound only.
+    """
     if max_period is None:
         max_period = 2 * a.elements[-1] + 2
     return search_periods(a, range(1, max_period + 1))

@@ -61,6 +61,15 @@ def test_tile_command(capsys):
     assert payload["verified"] is True
 
 
+def test_tile_and_analyze_deep_complement(capsys):
+    # the complement has 1,024 elements; the search must not recurse per element
+    payload = run_json(capsys, "tile", "0,1024")
+    assert payload["tiling"]["period"] == 2048
+    assert payload["verified"] is True
+    payload = run_json(capsys, "analyze", "0,1024")
+    assert payload["tiling"]["period"] == 2048
+
+
 def test_spectrum_construct(capsys):
     payload = run_json(capsys, "spectrum", "construct", "0,2,4")
     assert payload["spectrum"] == ["1/3", "2/3"]

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from tilecert import spectra
+from tilecert.families import subset_facts
 from tilecert.intpoly import IntPoly
 from tilecert.spectra import (
     RationalSpectrum,
@@ -202,6 +203,13 @@ def test_unverified_constructed_spectrum_raises(monkeypatch):
     monkeypatch.setattr(spectra, "verify_spectrum", lambda a, spectrum: False)
     with pytest.raises(CertificateError):
         construct_spectrum(IntSet([0, 1]))
+
+
+def test_subset_facts_runs_the_spectrum_check(monkeypatch):
+    # subset_facts trusts construct_spectrum's own verification, which must still run
+    monkeypatch.setattr(spectra, "verify_spectrum", lambda a, spectrum: False)
+    with pytest.raises(CertificateError):
+        subset_facts(IntSet([0, 1]))
 
 
 def test_constructed_spectrum_of_wrong_size_raises(monkeypatch):

@@ -1,11 +1,14 @@
 import itertools
+import random
 
 import pytest
 
+from tilecert.families import subsets
 from tilecert.tileset import IntSet
 from tilecert.tiler import (
     PeriodCapExceeded,
     TilingCertificate,
+    _complement_search,
     brute_force_tiling,
     find_tiling,
     granville_bound,
@@ -109,3 +112,74 @@ def test_complement_contains_zero_and_sorted():
         assert cert is not None
         assert cert.complement[0] == 0
         assert list(cert.complement) == sorted(cert.complement)
+
+
+def test_deep_complement_needs_no_recursion():
+    # 1,024 complement elements: one Python frame each would pass the
+    # default recursion limit
+    a = IntSet([0, 1024])
+    cert = find_tiling(a)
+    assert cert == TilingCertificate(2048, range(1024))
+    assert verify_tiling(a, cert)
+
+
+def _recursive_complement_search(residues, period):
+    """Oracle: the recursive bytearray exact cover the bitset search replaced."""
+    size = len(residues)
+    need = period // size
+    covered = bytearray(period)
+    for r in residues:
+        covered[r] = 1
+    chosen = [0]
+
+    def extend() -> bool:
+        if len(chosen) == need:
+            return True
+        r = covered.index(0)
+        for a in residues:
+            b = (r - a) % period
+            shifted = [(x + b) % period for x in residues]
+            if any(covered[s] for s in shifted):
+                continue
+            for s in shifted:
+                covered[s] = 1
+            chosen.append(b)
+            if extend():
+                return True
+            chosen.pop()
+            for s in shifted:
+                covered[s] = 0
+        return False
+
+    if extend():
+        return tuple(sorted(chosen))
+    return None
+
+
+def _searches(a):
+    """Every (residues, period) the brute-force period range leaves to search."""
+    elems = a.normalized().elements
+    size = len(elems)
+    for period in range(size, 2 * a.elements[-1] + 3):
+        if period % size:
+            continue
+        residues = sorted({x % period for x in elems})
+        if len(residues) == size:
+            yield residues, period
+
+
+def test_bitset_search_matches_recursive_oracle():
+    rng = random.Random(20)
+    sets = list(subsets(10, 5))
+    for _ in range(300):
+        size = rng.randint(2, 7)
+        sets.append(IntSet([0, *rng.sample(range(1, 22), size - 1)]))
+    searches = found = 0
+    for a in sets:
+        for residues, period in _searches(a):
+            expected = _recursive_complement_search(residues, period)
+            assert _complement_search(residues, period) == expected, (a, period)
+            searches += 1
+            found += expected is not None
+    # 5,328 searches, 1,637 of which find a complement
+    assert searches > 5000 and found > 1500
