@@ -23,14 +23,14 @@ polynomial, of index p**alpha with t = p**(alpha-1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .arith import divisors, is_prime, mobius
 from .intpoly import IntPoly
 from .tileset import IntSet
+from .values import frozen
 
 
-@dataclass(frozen=True)
+@frozen
 class PowerSumSeries:
     """Exact power sums S_1, ..., S_count of the roots of a monic polynomial."""
 

@@ -25,15 +25,24 @@ from .products import ProductSpec
 DEFAULT_LCAP = 1_000_000
 
 
+def _at_least_one(text: str, what: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid {what} {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{what} must be at least 1, got {value}")
+    return value
+
+
+def _period_cap(text: str) -> int:
+    """Parse --lcap: at least 1."""
+    return _at_least_one(text, "period cap")
+
+
 def _worker_count(text: str) -> int:
     """Parse --workers: at least 1, clamped to the machine's CPU count."""
-    try:
-        workers = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid worker count {text!r}") from None
-    if workers < 1:
-        raise argparse.ArgumentTypeError(f"worker count must be at least 1, got {workers}")
-    return min(workers, os.cpu_count() or 1)
+    return min(_at_least_one(text, "worker count"), os.cpu_count() or 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,8 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--lcap", type=int, default=DEFAULT_LCAP,
-                       help="cap on the Granville period bound (default %(default)s)")
+        p.add_argument("--lcap", type=_period_cap, default=DEFAULT_LCAP,
+                       help="cap on the Granville period bound, at least 1 (default %(default)s)")
         p.add_argument("--workers", type=_worker_count, default=1,
                        help="worker processes for batch enumeration, at most the "
                             "CPU count (default 1)")

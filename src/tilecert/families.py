@@ -10,8 +10,7 @@ verification suites share a single implementation of each property.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .arith import factorize
 from .spectra import construct_spectrum, spectrum_search, verify_spectrum
@@ -25,6 +24,7 @@ from .products import (
     tower_condition,
     two_factor_condition,
 )
+from .values import frozen
 
 # ---------------------------------------------------------------------------
 # Families
@@ -57,7 +57,7 @@ def three_factor_specs(max_m: int, lengths: tuple[int, ...] = (2, 3)) -> Iterato
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class SubsetFacts:
     """One pass of the pipeline over a single set."""
 
@@ -90,7 +90,7 @@ def subset_facts(a: IntSet) -> SubsetFacts:
     )
 
 
-@dataclass(frozen=True)
+@frozen
 class ProductFacts:
     """One pass of the pipeline over a single product spec."""
 

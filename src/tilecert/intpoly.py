@@ -16,14 +16,14 @@ which is safe for concurrent read/insert under CPython.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable
 from functools import lru_cache
-from typing import Iterable
 
 from .arith import euler_phi, factorize, prime_power
+from .values import frozen
 
 
-@dataclass(init=False, frozen=True)
+@frozen
 class IntPoly:
     """Dense integer polynomial; ``coeffs[i]`` is the coefficient of x**i."""
 

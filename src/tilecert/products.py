@@ -30,14 +30,14 @@ such a vector a certificate of non-tiling, independent of any search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .intpoly import IntPoly
 from .tileset import CertificateError, IntSet
+from .values import frozen
 
 
-@dataclass(init=False, frozen=True)
+@frozen
 class ProductSpec:
     """Factors (m_i, n_i) with m_i >= 1 and n_i >= 2.
 
@@ -89,7 +89,7 @@ class ProductSpec:
         return ",".join(f"{m}:{n}" for m, n in self.factors)
 
 
-@dataclass(frozen=True)
+@frozen
 class KellerWitness:
     """A vector violating Keller's property for the step lattice."""
 

@@ -7,7 +7,6 @@ are serialized as "p/q" strings, certificates as {"period", "complement"}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .analysis import classify_prime_power_cyclotomic
@@ -27,9 +26,10 @@ from .products import (
     tower_condition,
     two_factor_condition,
 )
+from .values import frozen
 
 
-@dataclass(frozen=True)
+@frozen
 class AnalysisReport:
     """Everything the toolkit can say about one set."""
 

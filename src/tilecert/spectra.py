@@ -21,9 +21,8 @@ runs a complete clique search over all candidate fractions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .arith import prime_power
 from .intpoly import IntPoly, divides_cyclotomic
@@ -36,9 +35,10 @@ from .tileset import (
     cyclotomic_divisors,
     divisors_of_poly,
 )
+from .values import frozen
 
 
-@dataclass(init=False, frozen=True)
+@frozen
 class RationalSpectrum:
     """Distinct reduced fractions in (0, 1); the implicit theta_0 = 0 is not stored."""
 

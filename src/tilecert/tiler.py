@@ -19,11 +19,11 @@ the tests keep as an oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .arith import divisors, lcm_all
 from .tileset import IntSet, cyclotomic_divisors
+from .values import frozen
 
 
 class PeriodCapExceeded(RuntimeError):
@@ -39,7 +39,7 @@ class PeriodCapExceeded(RuntimeError):
         self.cap = cap
 
 
-@dataclass(init=False, frozen=True)
+@frozen
 class TilingCertificate:
     """A period M and complement B with A + B covering Z mod M exactly once."""
 

@@ -20,15 +20,15 @@ translating the set, so predicates normalize the minimum to 0 first.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Iterable
 from functools import lru_cache
-from typing import Iterable
 
 from .arith import prime_power, root_of_unity_mod_prime, totient_at_most
 from .intpoly import IntPoly, cyclotomic_at_one, divides_cyclotomic
+from .values import frozen
 
 
-@dataclass(init=False, frozen=True)
+@frozen
 class IntSet:
     """A finite set of >= 2 nonnegative integers, kept sorted."""
 
@@ -84,7 +84,7 @@ class CertificateError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
+@frozen
 class CycloDivisors:
     """Cyclotomic divisor inventory of a characteristic polynomial.
 

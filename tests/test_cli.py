@@ -163,6 +163,14 @@ def test_batch_parallel_workers_match_sequential(capsys):
     assert seq_out == par_out
 
 
+def test_batch_parallel_product_specs_match_sequential(capsys):
+    # the pool pickles every ProductSpec it sends to a worker
+    args = ("batch", "three-factor", "m=2", "--check", "tower-equivalence")
+    _, seq_out, _ = run_cli(capsys, *args)
+    _, par_out, _ = run_cli(capsys, *args, "--workers", "2")
+    assert seq_out == par_out
+
+
 def test_batch_rejects_unknown(capsys):
     assert run_cli(capsys, "batch", "subsets", "max_elem=4", "max_size=2",
                    "--check", "no-such-check")[0] == 2
@@ -218,6 +226,19 @@ def test_workers_below_one_rejected_by_parser(capsys):
             cli.build_parser().parse_args(_batch_args("--workers", value))
         assert exc.value.code == 2
     assert "--workers" in capsys.readouterr().err
+
+
+def test_lcap_below_one_rejected_by_parser(capsys):
+    for value in ("0", "-5", "ten"):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(["analyze", "0,1", "--lcap", value])
+        assert exc.value.code == 2
+        assert "--lcap" in capsys.readouterr().err
+    assert cli.build_parser().parse_args(["analyze", "0,1", "--lcap", "1"]).lcap == 1
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "tile", "0,1,8,9", "--lcap", "0")
+    assert exc.value.code == 2
+    assert "--lcap" in capsys.readouterr().err
 
 
 def test_workers_clamped_to_cpu_count():

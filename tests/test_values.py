@@ -1,0 +1,178 @@
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+
+import tilecert
+from tilecert.analysis import power_sums
+from tilecert.families import product_facts, subset_facts
+from tilecert.intpoly import IntPoly
+from tilecert.products import KellerWitness, ProductSpec
+from tilecert.report import analyze_set
+from tilecert.spectra import RationalSpectrum
+from tilecert.tiler import TilingCertificate
+from tilecert.tileset import IntSet, char_poly, divisors_of_poly
+from tilecert.values import frozen
+
+# One sample per value class, built twice per test so that equal objects are
+# distinct; the repr is the text the classes printed when they were dataclasses.
+SAMPLES = {
+    "IntPoly": (
+        lambda: IntPoly([1, 0, -2, 1]),
+        "IntPoly('x^3 - 2x^2 + 1')",
+    ),
+    "IntSet": (
+        lambda: IntSet([0, 1, 8, 9]),
+        "IntSet(elements=(0, 1, 8, 9))",
+    ),
+    "CycloDivisors": (
+        lambda: divisors_of_poly(char_poly(IntSet([0, 1, 8, 9]))),
+        "CycloDivisors(indices=(2, 16), prime_powers=(2, 16), by_prime={2: (2, 16)})",
+    ),
+    "TilingCertificate": (
+        lambda: TilingCertificate(16, [0, 2, 4, 6]),
+        "TilingCertificate(period=16, complement=(0, 2, 4, 6))",
+    ),
+    "RationalSpectrum": (
+        lambda: RationalSpectrum([Fraction(1, 2), Fraction(1, 16), Fraction(9, 16)]),
+        "RationalSpectrum(thetas=(Fraction(1, 16), Fraction(1, 2), Fraction(9, 16)))",
+    ),
+    "ProductSpec": (
+        lambda: ProductSpec([(1, 2), (3, 2)]),
+        "ProductSpec(factors=((1, 2), (3, 2)))",
+    ),
+    "KellerWitness": (
+        lambda: KellerWitness((3, -1)),
+        "KellerWitness(vector=(3, -1))",
+    ),
+    "AnalysisReport": (
+        lambda: analyze_set(IntSet([0, 2])),
+        "AnalysisReport(elements=(0, 2), size=2, degree=2, divisor_indices=(4,), "
+        "prime_power_indices=(4,), t1=True, t2=True, granville_l=4, "
+        "tiling=TilingCertificate(period=4, complement=(0, 1)), tiling_undecided=False, "
+        "spectrum=RationalSpectrum(thetas=(Fraction(1, 4),)), classification=(2, 2))",
+    ),
+    "PowerSumSeries": (
+        lambda: power_sums(char_poly(IntSet([0, 1, 3, 4])), 3),
+        "PowerSumSeries(values=(-1, 1, -4))",
+    ),
+    "SubsetFacts": (
+        lambda: subset_facts(IntSet([0, 2])),
+        "SubsetFacts(instance=IntSet(elements=(0, 2)), t1=True, t2=True, "
+        "tiling=TilingCertificate(period=4, complement=(0, 1)), tiling_verified=True, "
+        "brute=TilingCertificate(period=4, complement=(0, 1)), brute_verified=True, "
+        "spectrum_size=1, spectrum_verified=True)",
+    ),
+    "ProductFacts": (
+        lambda: product_facts(ProductSpec([(1, 2), (3, 2)])),
+        "ProductFacts(instance=ProductSpec(factors=((1, 2), (3, 2))), zero_one=True, "
+        "tower=None, two_factor=False, t1=False, t2=True, tiles=False, spectrum_ok=None, "
+        "witness_ok=True)",
+    ),
+}
+
+# the classes that take the __init__ frozen generates
+GENERATED_INIT = ["AnalysisReport", "CycloDivisors", "KellerWitness", "PowerSumSeries",
+                  "ProductFacts", "SubsetFacts"]
+
+each_class = pytest.mark.parametrize("name", sorted(SAMPLES))
+
+
+def _fields(value):
+    return tuple(type(value).__annotations__)
+
+
+def _with(value, **changes):
+    """A copy of value with some fields replaced, built around every __init__."""
+    out = object.__new__(type(value))
+    for field in _fields(value):
+        object.__setattr__(out, field, changes.get(field, getattr(value, field)))
+    return out
+
+
+@each_class
+def test_equality_by_fields(name):
+    make = SAMPLES[name][0]
+    a, b = make(), make()
+    assert a is not b and a == b and not a != b
+    for field in _fields(a):
+        assert a != _with(a, **{field: object()}), field
+    twin_cls = frozen(type(name, (), {"__annotations__": dict(type(a).__annotations__)}))
+    twin = twin_cls(**{field: getattr(a, field) for field in _fields(a)})
+    assert a != twin and twin != a
+    assert a != getattr(a, _fields(a)[0])
+
+
+@each_class
+def test_equal_objects_hash_equal(name):
+    a, b = SAMPLES[name][0](), SAMPLES[name][0]()
+    if name == "CycloDivisors":
+        # by_prime is a dict, so the inventory is unhashable, as it always was
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+
+
+@each_class
+def test_assignment_and_deletion_raise(name):
+    a = SAMPLES[name][0]()
+    before = repr(a)
+    for field in _fields(a) + ("not_a_field",):
+        with pytest.raises(AttributeError):
+            setattr(a, field, None)
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+    assert repr(a) == before
+
+
+@each_class
+def test_pickle_round_trip(name):
+    a = SAMPLES[name][0]()
+    for protocol in (2, pickle.HIGHEST_PROTOCOL):
+        b = pickle.loads(pickle.dumps(a, protocol=protocol))
+        assert type(b) is type(a) and b == a and repr(b) == repr(a)
+
+
+@each_class
+def test_repr_text(name):
+    make, text = SAMPLES[name]
+    a = make()
+    assert type(a).__name__ == name
+    assert repr(a) == text
+
+
+@pytest.mark.parametrize("name", GENERATED_INIT)
+def test_generated_init_takes_fields_by_position_or_keyword(name):
+    a = SAMPLES[name][0]()
+    cls, names = type(a), _fields(a)
+    values = [getattr(a, field) for field in names]
+    assert cls(*values) == a
+    assert cls(**dict(zip(names, values))) == a
+    assert cls(*values[:1], **dict(zip(names[1:], values[1:]))) == a
+    with pytest.raises(TypeError):
+        cls(*values, None)
+    with pytest.raises(TypeError):
+        cls(*values[:1], **dict(zip(names, values)))
+    with pytest.raises(TypeError):
+        cls(**dict(zip(names[1:], values[1:])))
+    with pytest.raises(TypeError):
+        cls(*values, extra=None)
+
+
+def test_cli_import_loads_no_class_machinery():
+    # -S leaves out site, so the modules found are those tilecert.cli imports
+    src = os.path.dirname(os.path.dirname(tilecert.__file__))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import tilecert.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-E", "-S", "-c", code],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "[]"
