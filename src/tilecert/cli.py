@@ -16,7 +16,7 @@ import sys
 
 from . import __version__
 from .analysis import classify_prime_power_cyclotomic, power_sums
-from .families import run_batch, subsets, three_factor_specs, two_factor_specs
+from .families import FAMILIES, run_batch
 from .report import analyze_set, format_fraction, product_report, tiling_report
 from .spectra import construct_spectrum, parse_thetas, spectrum_search, verify_spectrum_poly
 from .tileset import IntSet, char_poly
@@ -53,49 +53,47 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"tilecert {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_lcap(p: argparse.ArgumentParser) -> None:
         p.add_argument("--lcap", type=_period_cap, default=DEFAULT_LCAP,
                        help="cap on the Granville period bound, at least 1 (default %(default)s)")
-        p.add_argument("--workers", type=_worker_count, default=1,
-                       help="worker processes for batch enumeration, at most the "
-                            "CPU count (default 1)")
-        p.add_argument("--human", action="store_true",
-                       help="human-readable rendering instead of JSON")
 
     p = sub.add_parser("analyze", help="full report for one set")
     p.add_argument("set", help="comma-separated nonnegative integers, e.g. 0,1,2,3")
-    add_common(p)
+    add_lcap(p)
 
     p = sub.add_parser("tile", help="tiling certificate search for one set")
     p.add_argument("set")
-    add_common(p)
+    add_lcap(p)
 
     p = sub.add_parser("spectrum", help="construct, search for, or verify a rational spectrum")
     p.add_argument("mode", choices=["construct", "search", "verify"])
     p.add_argument("set")
     p.add_argument("--theta", default=None,
                    help="comma-separated fractions for verify, e.g. 1/2,1/4,3/4")
-    add_common(p)
 
     p = sub.add_parser("product", help="report for a product spec m1:n1,m2:n2,...")
     p.add_argument("spec")
-    add_common(p)
+    add_lcap(p)
 
     p = sub.add_parser("powersums", help="power sums of the roots of a set's characteristic polynomial")
     p.add_argument("set")
     p.add_argument("--count", type=int, default=10, help="how many power sums (default 10)")
-    add_common(p)
 
     p = sub.add_parser("classify", help="recognize the prime-power progression pattern")
     p.add_argument("set")
-    add_common(p)
 
     p = sub.add_parser("batch", help="run an invariant check over a whole family")
     p.add_argument("family", nargs="+",
                    help="family spec: 'subsets max_elem=E max_size=K', "
                         "'two-factor m=M n=N', or 'three-factor m=M'")
     p.add_argument("--check", required=True, help="check name, see README")
-    add_common(p)
+    p.add_argument("--workers", type=_worker_count, default=1,
+                   help="worker processes for batch enumeration, at most the "
+                        "CPU count (default 1)")
+
+    for p in sub.choices.values():
+        p.add_argument("--human", action="store_true",
+                       help="human-readable rendering instead of JSON")
 
     return parser
 
@@ -144,21 +142,13 @@ def _parse_family(tokens: list[str]) -> tuple[str, dict[str, int]]:
 
 
 def _build_family(kind: str, params: dict[str, int]):
-    if kind == "subsets":
-        missing = {"max_elem", "max_size"} - params.keys()
-        if missing:
-            raise ValueError(f"subsets family needs {sorted(missing)}")
-        return "subsets", subsets(params["max_elem"], params["max_size"])
-    if kind == "two-factor":
-        missing = {"m", "n"} - params.keys()
-        if missing:
-            raise ValueError(f"two-factor family needs {sorted(missing)}")
-        return "two-factor", two_factor_specs(params["m"], params["n"])
-    if kind == "three-factor":
-        if "m" not in params:
-            raise ValueError("three-factor family needs ['m']")
-        return "three-factor", three_factor_specs(params["m"])
-    raise ValueError(f"unknown family {kind!r}")
+    if kind not in FAMILIES:
+        raise ValueError(f"unknown family {kind!r}")
+    make, names, _ = FAMILIES[kind]
+    missing = set(names) - params.keys()
+    if missing:
+        raise ValueError(f"{kind} family needs {sorted(missing)}")
+    return make(*(params[name] for name in names))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -225,8 +215,8 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "batch":
         kind, params = _parse_family(args.family)
-        family, instances = _build_family(kind, params)
-        summary = run_batch(family, instances, args.check, workers=args.workers)
+        instances = _build_family(kind, params)
+        summary = run_batch(kind, instances, args.check, workers=args.workers)
         _emit({"command": "batch", "params": params, **summary}, args.human)
         return 0 if summary["violation_count"] == 0 else 1
 

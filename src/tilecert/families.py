@@ -5,6 +5,13 @@ maps one instance to either None (clean, or not applicable) or a
 violation record.  Facts about an instance are computed once and every
 check judges from the facts, so the command-line batch runner and the
 verification suites share a single implementation of each property.
+``FAMILIES`` lists each family once: its generator, the parameters the
+generator takes, and its checks.
+
+The facts hold certificates only from producers that verify what they
+return and raise ``CertificateError`` otherwise (the tiling search, the
+spectrum construction and search, the Keller witness), so no fact is
+checked here a second time.
 """
 
 from __future__ import annotations
@@ -13,12 +20,11 @@ import itertools
 from collections.abc import Iterable, Iterator
 
 from .arith import factorize
-from .spectra import construct_spectrum, spectrum_search, verify_spectrum
+from .spectra import construct_spectrum, spectrum_search
 from .tileset import IntSet, check_t1, check_t2
-from .tiler import TilingCertificate, brute_force_tiling, find_tiling, verify_tiling
+from .tiler import TilingCertificate, brute_force_tiling, find_tiling
 from .products import (
     ProductSpec,
-    check_keller_violation,
     keller_violation_witness,
     product_set,
     tower_condition,
@@ -81,11 +87,10 @@ def subset_facts(a: IntSet) -> SubsetFacts:
         t1=check_t1(a),
         t2=check_t2(a),
         tiling=tiling,
-        tiling_verified=tiling is not None and verify_tiling(a, tiling),
+        tiling_verified=tiling is not None,
         brute=brute,
-        brute_verified=brute is not None and verify_tiling(a, brute),
+        brute_verified=brute is not None,
         spectrum_size=None if spectrum is None else len(spectrum),
-        # construct_spectrum verifies what it returns and raises otherwise
         spectrum_verified=spectrum is not None,
     )
 
@@ -105,34 +110,24 @@ class ProductFacts:
     witness_ok: bool | None
 
 
-def product_facts(spec: ProductSpec, with_spectrum: bool = False) -> ProductFacts:
+def product_facts(spec: ProductSpec) -> ProductFacts:
+    """Facts of one spec; the spectrum search runs on two-factor specs only."""
     pset = product_set(spec)
-    zero_one = pset is not None
     tower = tower_condition(spec)
-    witness_ok = None
-    if tower is None:
-        witness = keller_violation_witness(spec)
-        witness_ok = witness is not None and check_keller_violation(spec, witness.vector)
+    two = len(spec) == 2
+    witness_ok = None if tower is not None else keller_violation_witness(spec) is not None
     t1 = t2 = tiles = spectrum_ok = None
     if pset is not None:
         t1 = check_t1(pset)
         t2 = check_t2(pset)
         tiles = find_tiling(pset) is not None
-        if with_spectrum:
-            target = 1
-            for n in spec.lengths:
-                target *= n
-            found = spectrum_search(pset)
-            spectrum_ok = (
-                found is not None
-                and len(found) == target - 1
-                and verify_spectrum(pset, found)
-            )
+        if two:
+            spectrum_ok = spectrum_search(pset) is not None
     return ProductFacts(
         instance=spec,
-        zero_one=zero_one,
+        zero_one=pset is not None,
         tower=tower,
-        two_factor=two_factor_condition(spec) if len(spec) == 2 else None,
+        two_factor=two_factor_condition(spec) if two else None,
         t1=t1,
         t2=t2,
         tiles=tiles,
@@ -250,16 +245,20 @@ THREE_FACTOR_CHECKS = {
 }
 
 
-def _judge_subset(args: tuple[str, IntSet]) -> dict | None:
-    name, a = args
-    return SUBSET_CHECKS[name](subset_facts(a))
+# family name -> (instance generator, the parameter names it takes in order, checks)
+FAMILIES = {
+    "subsets": (subsets, ("max_elem", "max_size"), SUBSET_CHECKS),
+    "two-factor": (two_factor_specs, ("m", "n"), TWO_FACTOR_CHECKS),
+    "three-factor": (three_factor_specs, ("m",), THREE_FACTOR_CHECKS),
+}
 
 
-def _judge_product(args: tuple[str, ProductSpec]) -> dict | None:
-    name, spec = args
-    facts = product_facts(spec, with_spectrum=(name == "two-factor-equivalence"))
-    checks = {**TWO_FACTOR_CHECKS, **THREE_FACTOR_CHECKS}
-    return checks[name](facts)
+def _judge(job: tuple[str, str, IntSet | ProductSpec]) -> dict | None:
+    family, check, inst = job
+    # Look the facts functions up by name at call time, so a wrapped or
+    # patched module attribute is the one that runs.
+    facts = subset_facts(inst) if isinstance(inst, IntSet) else product_facts(inst)
+    return FAMILIES[family][2][check](facts)
 
 
 def run_batch(
@@ -271,28 +270,18 @@ def run_batch(
     """Run one named check over a family; returns a deterministic summary dict."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    if family == "subsets":
-        if check not in SUBSET_CHECKS:
-            raise ValueError(f"unknown check {check!r} for family {family!r}")
-        worker = _judge_subset
-    elif family == "two-factor":
-        if check not in TWO_FACTOR_CHECKS:
-            raise ValueError(f"unknown check {check!r} for family {family!r}")
-        worker = _judge_product
-    elif family == "three-factor":
-        if check not in THREE_FACTOR_CHECKS:
-            raise ValueError(f"unknown check {check!r} for family {family!r}")
-        worker = _judge_product
-    else:
+    if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    jobs = [(check, inst) for inst in instances]
+    if check not in FAMILIES[family][2]:
+        raise ValueError(f"unknown check {check!r} for family {family!r}")
+    jobs = [(family, check, inst) for inst in instances]
     if workers > 1:
         from multiprocessing import Pool
 
         with Pool(workers) as pool:
-            results = pool.map(worker, jobs, chunksize=64)
+            results = pool.map(_judge, jobs, chunksize=64)
     else:
-        results = [worker(job) for job in jobs]
+        results = [_judge(job) for job in jobs]
     violations = [r for r in results if r is not None]
     return {
         "family": family,

@@ -11,14 +11,8 @@ from fractions import Fraction
 
 from .analysis import classify_prime_power_cyclotomic
 from .spectra import RationalSpectrum, construct_spectrum
-from .tileset import CertificateError, IntSet, check_t1, check_t2, cyclotomic_divisors
-from .tiler import (
-    PeriodCapExceeded,
-    TilingCertificate,
-    find_tiling,
-    granville_bound,
-    verify_tiling,
-)
+from .tileset import IntSet, check_t1, check_t2, cyclotomic_divisors
+from .tiler import PeriodCapExceeded, TilingCertificate, find_tiling, granville_bound
 from .products import (
     ProductSpec,
     keller_violation_witness,
@@ -97,8 +91,6 @@ def analyze_set(a: IntSet, cap: int | None = None) -> AnalysisReport:
         tiling = find_tiling(a, cap=cap)
     except PeriodCapExceeded:
         undecided = True
-    if tiling is not None and not verify_tiling(a, tiling):
-        raise CertificateError(f"tiling certificate for {a} failed verification")
     return AnalysisReport(
         elements=a.elements,
         size=a.size,
@@ -116,7 +108,11 @@ def analyze_set(a: IntSet, cap: int | None = None) -> AnalysisReport:
 
 
 def tiling_report(a: IntSet, cap: int | None = None) -> dict:
-    """Tiling-only view: bound, certificate (or undecided), verification bit."""
+    """Tiling-only view: bound, certificate (or undecided), verification bit.
+
+    ``find_tiling`` verifies every certificate it returns, so the bit is
+    True whenever there is a tiling.
+    """
     out: dict = {
         "set": list(a.elements),
         "granville_bound": granville_bound(a),
@@ -131,7 +127,7 @@ def tiling_report(a: IntSet, cap: int | None = None) -> dict:
         return out
     if cert is not None:
         out["tiling"] = _cert_dict(cert)
-        out["verified"] = verify_tiling(a, cert)
+        out["verified"] = True
     return out
 
 

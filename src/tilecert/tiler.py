@@ -15,6 +15,10 @@ in an explicit range instead.  It runs the same exact-cover search, so
 agreement with it checks Granville's bound, not the search; the search
 itself is checked against the recursive exact cover it replaced, which
 the tests keep as an oracle.
+
+Every certificate passes ``verify_tiling`` inside ``search_periods``,
+the one place certificates are made, before it is returned; a failure
+raises ``CertificateError``.  Callers therefore never verify again.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from .arith import divisors, lcm_all
-from .tileset import IntSet, cyclotomic_divisors
+from .tileset import CertificateError, IntSet, cyclotomic_divisors
 from .values import frozen
 
 
@@ -123,7 +127,9 @@ def search_periods(a: IntSet, periods: Iterable[int]) -> TilingCertificate | Non
     """Try each candidate period in the given order; first certificate wins.
 
     Periods not divisible by #A, and periods where the set's residues
-    collide, cannot carry a tiling and are skipped without search.
+    collide, cannot carry a tiling and are skipped without search.  The
+    certificate is verified before it is returned; a failure raises
+    ``CertificateError``.
     """
     elems = a.normalized().elements
     size = len(elems)
@@ -135,7 +141,10 @@ def search_periods(a: IntSet, periods: Iterable[int]) -> TilingCertificate | Non
             continue
         comp = _complement_search(residues, period)
         if comp is not None:
-            return TilingCertificate(period, comp)
+            cert = TilingCertificate(period, comp)
+            if not verify_tiling(a, cert):
+                raise CertificateError(f"tiling certificate {cert} for {a} failed verification")
+            return cert
     return None
 
 
@@ -145,8 +154,10 @@ def find_tiling(a: IntSet, cap: int | None = None) -> TilingCertificate | None:
     Returns the first certificate found, or None when no divisor of L
     works (which by Granville's bound means A does not tile at all).
     With ``cap`` set, raises PeriodCapExceeded instead of searching when
-    L > cap.
+    L > cap; a cap below 1 is a ValueError.
     """
+    if cap is not None and cap < 1:
+        raise ValueError(f"period cap must be at least 1, got {cap}")
     bound = granville_bound(a)
     if cap is not None and bound > cap:
         raise PeriodCapExceeded(bound, cap)

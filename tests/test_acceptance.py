@@ -96,7 +96,7 @@ def test_criterion_04_two_factor_equivalence():
     violations = []
     checked = 0
     for spec in two_factor_specs(8, 4):
-        f = product_facts(spec, with_spectrum=True)
+        f = product_facts(spec)
         if not f.zero_one:
             continue
         checked += 1

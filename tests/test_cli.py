@@ -241,6 +241,21 @@ def test_lcap_below_one_rejected_by_parser(capsys):
     assert "--lcap" in capsys.readouterr().err
 
 
+def test_flags_only_where_read(capsys):
+    for argv in (["analyze", "0,1", "--workers", "2"],
+                 ["classify", "0,3,6", "--lcap", "5"],
+                 ["spectrum", "construct", "0,2", "--lcap", "5"],
+                 _batch_args("--lcap", "5")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    for argv in (["analyze", "0,1"], ["tile", "0,1"], ["spectrum", "construct", "0,2"],
+                 ["product", "1:2,2:2"], ["powersums", "0,1"], ["classify", "0,3,6"],
+                 _batch_args()):
+        assert cli.build_parser().parse_args([*argv, "--human"]).human is True
+
+
 def test_workers_clamped_to_cpu_count():
     cpus = os.cpu_count() or 1
     parse = cli.build_parser().parse_args

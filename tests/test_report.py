@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from tilecert import report
+from tilecert import tiler
 
 from tilecert.report import analyze_set, product_report, tiling_report
 from tilecert.tileset import CertificateError, IntSet
@@ -83,6 +83,17 @@ def test_product_report_non_zero_one():
 
 
 def test_unverified_tiling_raises(monkeypatch):
-    monkeypatch.setattr(report, "verify_tiling", lambda a, cert: False)
+    monkeypatch.setattr(tiler, "verify_tiling", lambda a, cert: False)
     with pytest.raises(CertificateError):
         analyze_set(IntSet([0, 2]))
+
+
+def test_reports_reject_period_cap_below_one():
+    spec = ProductSpec.parse("1:2,2:2")  # 0/1, so the set report runs
+    for cap in (0, -5):
+        with pytest.raises(ValueError):
+            analyze_set(IntSet([0, 1]), cap=cap)
+        with pytest.raises(ValueError):
+            tiling_report(IntSet([0, 1, 8, 9]), cap=cap)
+        with pytest.raises(ValueError):
+            product_report(spec, cap=cap)

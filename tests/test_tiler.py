@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from tilecert.families import subsets
-from tilecert.tileset import IntSet
+from tilecert import tiler
+from tilecert.families import subset_facts, subsets
+from tilecert.tileset import CertificateError, IntSet
 from tilecert.tiler import (
     PeriodCapExceeded,
     TilingCertificate,
@@ -104,6 +105,33 @@ def test_period_cap():
     assert find_tiling(a, cap=4) is not None
     with pytest.raises(PeriodCapExceeded):
         tiles_z(a, cap=2)
+
+
+def test_period_cap_below_one_rejected():
+    a = IntSet([0, 1, 8, 9])  # tiles with period 16
+    for cap in (0, -5):
+        with pytest.raises(ValueError):
+            find_tiling(a, cap=cap)
+        with pytest.raises(ValueError):
+            tiles_z(a, cap=cap)
+
+
+def test_producers_raise_on_failed_verification(monkeypatch):
+    # every tiling certificate passes verify_tiling inside search_periods
+    monkeypatch.setattr(tiler, "verify_tiling", lambda a, cert: False)
+    a = IntSet([0, 2])
+    producers = [
+        lambda: search_periods(a, [4]),
+        lambda: find_tiling(a),
+        lambda: brute_force_tiling(a),
+        lambda: tiles_z(a),
+        lambda: subset_facts(a),
+    ]
+    for produce in producers:
+        with pytest.raises(CertificateError):
+            produce()
+    # no certificate, nothing to verify
+    assert find_tiling(IntSet([0, 1, 3])) is None
 
 
 def test_complement_contains_zero_and_sorted():

@@ -69,7 +69,7 @@ SAMPLES = {
     "ProductFacts": (
         lambda: product_facts(ProductSpec([(1, 2), (3, 2)])),
         "ProductFacts(instance=ProductSpec(factors=((1, 2), (3, 2))), zero_one=True, "
-        "tower=None, two_factor=False, t1=False, t2=True, tiles=False, spectrum_ok=None, "
+        "tower=None, two_factor=False, t1=False, t2=True, tiles=False, spectrum_ok=False, "
         "witness_ok=True)",
     ),
 }
