@@ -65,12 +65,11 @@ from .analysis import (
     power_sums,
     ramanujan_sum,
 )
-from .report import AnalysisReport, analyze_set, product_report, tiling_report
+from .report import analyze_set, product_report, tiling_report
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisReport",
     "CertificateError",
     "CycloDivisors",
     "IntPoly",

@@ -75,17 +75,17 @@ def ramanujan_sum(s: int, j: int) -> int:
 def classify_prime_power_cyclotomic(a: IntSet) -> tuple[int, int] | None:
     """Recognize {0, t, 2t, ..., (p-1)t} with p prime, t = p**(alpha-1).
 
-    The set is normalized (minimum translated to 0) first.  Returns
-    (p, alpha) when the set matches -- equivalently, when its
-    characteristic polynomial is the cyclotomic polynomial of index
-    p**alpha -- and None otherwise.
+    Elements are read relative to the minimum, so a translate of such a
+    set matches too.  Returns (p, alpha) when the set matches --
+    equivalently, when its characteristic polynomial is the cyclotomic
+    polynomial of index p**alpha -- and None otherwise.
     """
-    elems = a.normalized().elements
+    elems = a.elements
     p = len(elems)
     if not is_prime(p):
         return None
-    t = elems[1]
-    if any(elems[k] != k * t for k in range(p)):
+    t = elems[1] - elems[0]
+    if any(elems[k] - elems[0] != k * t for k in range(p)):
         return None
     alpha = 1
     step = t

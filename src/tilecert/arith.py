@@ -73,11 +73,6 @@ def prime_power(n: int) -> tuple[int, int] | None:
     return fac[0] if len(fac) == 1 else None
 
 
-def lcm_all(values) -> int:
-    """lcm of an iterable of positive integers; 1 for an empty iterable."""
-    return math.lcm(*values)
-
-
 def _primes_up_to(n: int) -> list[int]:
     """All primes p <= n, ascending (sieve of Eratosthenes)."""
     if n < 2:

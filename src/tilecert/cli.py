@@ -134,6 +134,8 @@ def _parse_family(tokens: list[str]) -> tuple[str, dict[str, int]]:
         if "=" not in tok:
             raise ValueError(f"bad family parameter {tok!r}, expected key=value")
         key, _, value = tok.partition("=")
+        if key in params:
+            raise ValueError(f"repeated family parameter {key!r}")
         try:
             params[key] = int(value)
         except ValueError as exc:
@@ -145,6 +147,9 @@ def _build_family(kind: str, params: dict[str, int]):
     if kind not in FAMILIES:
         raise ValueError(f"unknown family {kind!r}")
     make, names, _ = FAMILIES[kind]
+    unknown = params.keys() - names
+    if unknown:
+        raise ValueError(f"{kind} family takes no {sorted(unknown)}, only {list(names)}")
     missing = set(names) - params.keys()
     if missing:
         raise ValueError(f"{kind} family needs {sorted(missing)}")
@@ -163,7 +168,7 @@ def main(argv: list[str] | None = None) -> int:
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "analyze":
         a = IntSet.parse(args.set)
-        _emit({"command": "analyze", **analyze_set(a, cap=args.lcap).to_dict()}, args.human)
+        _emit({"command": "analyze", **analyze_set(a, cap=args.lcap)}, args.human)
         return 0
 
     if args.command == "tile":
@@ -173,6 +178,8 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "spectrum":
         a = IntSet.parse(args.set)
+        if args.mode != "verify" and args.theta is not None:
+            raise ValueError(f"spectrum {args.mode} takes no --theta")
         payload: dict = {"command": f"spectrum {args.mode}", "set": list(a.elements)}
         if args.mode == "construct":
             spectrum = construct_spectrum(a)
@@ -185,7 +192,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                 raise ValueError("spectrum verify needs --theta")
             thetas = [t % 1 for t in parse_thetas(args.theta)]
             payload["thetas"] = [format_fraction(t) for t in thetas]
-            payload["root_conditions"] = verify_spectrum_poly(char_poly(a), thetas)
+            payload["root_conditions"] = verify_spectrum_poly(char_poly(a.normalized()), thetas)
             payload["size_ok"] = len(thetas) == a.size - 1
             payload["verified"] = payload["root_conditions"] and payload["size_ok"]
         _emit(payload, args.human)

@@ -5,8 +5,11 @@ maps one instance to either None (clean, or not applicable) or a
 violation record.  Facts about an instance are computed once and every
 check judges from the facts, so the command-line batch runner and the
 verification suites share a single implementation of each property.
-``FAMILIES`` lists each family once: its generator, the parameters the
-generator takes, and its checks.
+The facts of a set are the dict ``report.analyze_set`` returns, the
+one ``tilecert analyze`` prints, plus the brute-force certificate; the
+facts of a product spec are a ``ProductFacts``.  ``FAMILIES`` lists
+each family once: its generator, the parameters the generator takes,
+and its checks.
 
 The facts hold certificates only from producers that verify what they
 return and raise ``CertificateError`` otherwise (the tiling search, the
@@ -20,9 +23,10 @@ import itertools
 from collections.abc import Iterable, Iterator
 
 from .arith import factorize
-from .spectra import construct_spectrum, spectrum_search
+from .report import analyze_set, cert_dict
+from .spectra import spectrum_search
 from .tileset import IntSet, check_t1, check_t2
-from .tiler import TilingCertificate, brute_force_tiling, find_tiling
+from .tiler import brute_force_tiling, find_tiling
 from .products import (
     ProductSpec,
     keller_violation_witness,
@@ -63,36 +67,15 @@ def three_factor_specs(max_m: int, lengths: tuple[int, ...] = (2, 3)) -> Iterato
 # ---------------------------------------------------------------------------
 
 
-@frozen
-class SubsetFacts:
-    """One pass of the pipeline over a single set."""
+def subset_facts(a: IntSet) -> dict:
+    """One pass of the pipeline over a single set.
 
-    instance: IntSet
-    t1: bool
-    t2: bool
-    tiling: TilingCertificate | None
-    tiling_verified: bool
-    brute: TilingCertificate | None
-    brute_verified: bool
-    spectrum_size: int | None
-    spectrum_verified: bool
-
-
-def subset_facts(a: IntSet) -> SubsetFacts:
-    tiling = find_tiling(a)
-    brute = brute_force_tiling(a)
-    spectrum = construct_spectrum(a)
-    return SubsetFacts(
-        instance=a,
-        t1=check_t1(a),
-        t2=check_t2(a),
-        tiling=tiling,
-        tiling_verified=tiling is not None,
-        brute=brute,
-        brute_verified=brute is not None,
-        spectrum_size=None if spectrum is None else len(spectrum),
-        spectrum_verified=spectrum is not None,
-    )
+    The ``analyze_set`` dict plus "brute": the certificate of the search
+    over every period up to 2*max + 2, in the same form, or None.
+    """
+    facts = analyze_set(a)
+    facts["brute"] = cert_dict(brute_force_tiling(a))
+    return facts
 
 
 @frozen
@@ -141,49 +124,45 @@ def product_facts(spec: ProductSpec) -> ProductFacts:
 # ---------------------------------------------------------------------------
 
 
-def distinct_prime_count(n: int) -> int:
-    return len(factorize(n))
-
-
-def judge_t1t2_implies_tiling(f: SubsetFacts) -> dict | None:
-    if f.t1 and f.t2 and f.tiling is None:
-        return {"set": list(f.instance.elements), "reason": "t1 and t2 hold but no tiling found"}
+def judge_t1t2_implies_tiling(f: dict) -> dict | None:
+    if f["t1"] and f["t2"] and f["tiling"] is None:
+        return {"set": f["set"], "reason": "t1 and t2 hold but no tiling found"}
     return None
 
 
-def judge_tiling_implies_t1(f: SubsetFacts) -> dict | None:
-    if f.tiling is not None and not f.t1:
-        return {"set": list(f.instance.elements), "reason": "tiles but t1 fails"}
+def judge_tiling_implies_t1(f: dict) -> dict | None:
+    if f["tiling"] is not None and not f["t1"]:
+        return {"set": f["set"], "reason": "tiles but t1 fails"}
     return None
 
 
-def judge_tiling_implies_t2(f: SubsetFacts) -> dict | None:
+def judge_tiling_implies_t2(f: dict) -> dict | None:
     # Only claimed when #A has at most two distinct prime factors.
-    if distinct_prime_count(f.instance.size) <= 2 and f.tiling is not None and not f.t2:
-        return {"set": list(f.instance.elements), "reason": "tiles but t2 fails"}
+    if len(factorize(f["size"])) <= 2 and f["tiling"] is not None and not f["t2"]:
+        return {"set": f["set"], "reason": "tiles but t2 fails"}
     return None
 
 
-def judge_granville_agreement(f: SubsetFacts) -> dict | None:
-    restricted = f.tiling is not None
-    unrestricted = f.brute is not None
+def judge_granville_agreement(f: dict) -> dict | None:
+    restricted = f["tiling"] is not None
+    unrestricted = f["brute"] is not None
     if restricted != unrestricted:
         return {
-            "set": list(f.instance.elements),
+            "set": f["set"],
             "reason": f"bound-restricted search found={restricted}, brute force found={unrestricted}",
         }
-    if restricted and not (f.tiling_verified and f.brute_verified):
-        return {"set": list(f.instance.elements), "reason": "certificate failed verification"}
     return None
 
 
-def judge_spectrum_formula(f: SubsetFacts) -> dict | None:
-    if not (f.t1 and f.t2):
+def judge_spectrum_formula(f: dict) -> dict | None:
+    if not (f["t1"] and f["t2"]):
         return None
-    if f.spectrum_size != f.instance.size - 1 or not f.spectrum_verified:
+    spectrum = f["spectrum"]
+    size = None if spectrum is None else len(spectrum)
+    if size != f["size"] - 1:
         return {
-            "set": list(f.instance.elements),
-            "reason": f"constructed spectrum size={f.spectrum_size}, verified={f.spectrum_verified}",
+            "set": f["set"],
+            "reason": f"constructed spectrum size={size}, verified={spectrum is not None}",
         }
     return None
 

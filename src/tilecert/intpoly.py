@@ -43,13 +43,6 @@ class IntPoly:
     def one(cls) -> "IntPoly":
         return cls((1,))
 
-    @classmethod
-    def x_pow(cls, n: int) -> "IntPoly":
-        """The monomial x**n."""
-        if n < 0:
-            raise ValueError("exponent must be nonnegative")
-        return cls([0] * n + [1])
-
     def degree(self) -> int | None:
         """Degree, or None for the zero polynomial."""
         return len(self.coeffs) - 1 if self.coeffs else None
@@ -127,9 +120,6 @@ class IntPoly:
                     rem[base + j] -= c * dcs[j]
                 rem[i] = 0
         return IntPoly(quot), IntPoly(rem[:dq])
-
-    def __divmod__(self, divisor: "IntPoly") -> tuple["IntPoly", "IntPoly"]:
-        return self.divrem(divisor)
 
     def __str__(self) -> str:
         if not self.coeffs:

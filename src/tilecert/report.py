@@ -3,6 +3,8 @@
 Reports are plain dicts with a fixed key insertion order, so a JSON dump
 of a report is byte-for-byte reproducible for a fixed input.  Fractions
 are serialized as "p/q" strings, certificates as {"period", "complement"}.
+``analyze_set`` is the one pipeline over a set: the CLI prints its dict,
+``product_report`` nests it, and the ``batch subsets`` checks judge it.
 """
 
 from __future__ import annotations
@@ -20,48 +22,10 @@ from .products import (
     tower_condition,
     two_factor_condition,
 )
-from .values import frozen
 
 
-@frozen
-class AnalysisReport:
-    """Everything the toolkit can say about one set."""
-
-    elements: tuple[int, ...]
-    size: int
-    degree: int
-    divisor_indices: tuple[int, ...]
-    prime_power_indices: tuple[int, ...]
-    t1: bool
-    t2: bool
-    granville_l: int
-    tiling: TilingCertificate | None
-    tiling_undecided: bool
-    spectrum: RationalSpectrum | None
-    classification: tuple[int, int] | None
-
-    def to_dict(self) -> dict:
-        return {
-            "set": list(self.elements),
-            "size": self.size,
-            "degree": self.degree,
-            "cyclotomic_divisors": list(self.divisor_indices),
-            "prime_power_divisors": list(self.prime_power_indices),
-            "t1": self.t1,
-            "t2": self.t2,
-            "granville_bound": self.granville_l,
-            "tiling": _cert_dict(self.tiling),
-            "tiling_undecided": self.tiling_undecided,
-            "spectrum": _fraction_list(self.spectrum),
-            "classification": (
-                None
-                if self.classification is None
-                else {"prime": self.classification[0], "exponent": self.classification[1]}
-            ),
-        }
-
-
-def _cert_dict(cert: TilingCertificate | None) -> dict | None:
+def cert_dict(cert: TilingCertificate | None) -> dict | None:
+    """A tiling certificate as {"period", "complement"}, or None."""
     if cert is None:
         return None
     return {"period": cert.period, "complement": list(cert.complement)}
@@ -77,34 +41,44 @@ def format_fraction(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def analyze_set(a: IntSet, cap: int | None = None) -> AnalysisReport:
-    """Run the full pipeline on one set.
+def _tiling(a: IntSet, cap: int | None) -> dict:
+    """The keys both set reports print side by side: bound, certificate, undecided.
 
     With ``cap`` set and the Granville bound above it, the tiling search
-    is skipped and the report carries tiling_undecided = True.
+    is skipped and tiling_undecided is True.
+    """
+    out: dict = {"granville_bound": granville_bound(a), "tiling": None, "tiling_undecided": False}
+    try:
+        out["tiling"] = cert_dict(find_tiling(a, cap=cap))
+    except PeriodCapExceeded:
+        out["tiling_undecided"] = True
+    return out
+
+
+def analyze_set(a: IntSet, cap: int | None = None) -> dict:
+    """Run the full pipeline on one set; returns the report ``tilecert analyze`` prints.
+
+    With ``cap`` set and the Granville bound above it, the tiling is
+    reported undecided instead of searched.
     """
     inv = cyclotomic_divisors(a)
-    deg = a.elements[-1] - a.elements[0]
-    tiling = None
-    undecided = False
-    try:
-        tiling = find_tiling(a, cap=cap)
-    except PeriodCapExceeded:
-        undecided = True
-    return AnalysisReport(
-        elements=a.elements,
-        size=a.size,
-        degree=deg,
-        divisor_indices=inv.indices,
-        prime_power_indices=inv.prime_powers,
-        t1=check_t1(a),
-        t2=check_t2(a),
-        granville_l=granville_bound(a),
-        tiling=tiling,
-        tiling_undecided=undecided,
-        spectrum=construct_spectrum(a),
-        classification=classify_prime_power_cyclotomic(a),
-    )
+    classification = classify_prime_power_cyclotomic(a)
+    return {
+        "set": list(a.elements),
+        "size": a.size,
+        "degree": a.elements[-1] - a.elements[0],
+        "cyclotomic_divisors": list(inv.indices),
+        "prime_power_divisors": list(inv.prime_powers),
+        "t1": check_t1(a),
+        "t2": check_t2(a),
+        **_tiling(a, cap),
+        "spectrum": _fraction_list(construct_spectrum(a)),
+        "classification": (
+            None
+            if classification is None
+            else {"prime": classification[0], "exponent": classification[1]}
+        ),
+    }
 
 
 def tiling_report(a: IntSet, cap: int | None = None) -> dict:
@@ -113,21 +87,8 @@ def tiling_report(a: IntSet, cap: int | None = None) -> dict:
     ``find_tiling`` verifies every certificate it returns, so the bit is
     True whenever there is a tiling.
     """
-    out: dict = {
-        "set": list(a.elements),
-        "granville_bound": granville_bound(a),
-        "tiling": None,
-        "tiling_undecided": False,
-        "verified": None,
-    }
-    try:
-        cert = find_tiling(a, cap=cap)
-    except PeriodCapExceeded:
-        out["tiling_undecided"] = True
-        return out
-    if cert is not None:
-        out["tiling"] = _cert_dict(cert)
-        out["verified"] = True
+    out = {"set": list(a.elements), **_tiling(a, cap)}
+    out["verified"] = None if out["tiling"] is None else True
     return out
 
 
@@ -152,5 +113,5 @@ def product_report(spec: ProductSpec, cap: int | None = None) -> dict:
         "set_report": None,
     }
     if pset is not None:
-        out["set_report"] = analyze_set(pset, cap=cap).to_dict()
+        out["set_report"] = analyze_set(pset, cap=cap)
     return out

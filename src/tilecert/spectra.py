@@ -115,8 +115,13 @@ def verify_spectrum_poly(p: IntPoly, thetas: Sequence[Fraction]) -> bool:
 
 
 def verify_spectrum(a: IntSet, spectrum: RationalSpectrum) -> bool:
-    """Check a spectrum against the set's characteristic polynomial."""
-    return verify_spectrum_poly(char_poly(a), spectrum.thetas)
+    """Check a spectrum against the set's characteristic polynomial.
+
+    The set is normalized first: a shift multiplies the polynomial by a
+    power of x, which moves no root on the unit circle, and the dense
+    polynomial then has the set's diameter as degree, not its maximum.
+    """
+    return verify_spectrum_poly(char_poly(a.normalized()), spectrum.thetas)
 
 
 def construct_spectrum(a: IntSet) -> RationalSpectrum | None:

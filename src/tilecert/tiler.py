@@ -23,9 +23,10 @@ raises ``CertificateError``.  Callers therefore never verify again.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
 
-from .arith import divisors, lcm_all
+from .arith import divisors
 from .tileset import CertificateError, IntSet, cyclotomic_divisors
 from .values import frozen
 
@@ -66,7 +67,7 @@ class TilingCertificate:
 
 def granville_bound(a: IntSet) -> int:
     """lcm of all cyclotomic divisor indices of A(x); 1 when there are none."""
-    return lcm_all(cyclotomic_divisors(a).indices)
+    return math.lcm(*cyclotomic_divisors(a).indices)
 
 
 def _complement_search(residues: Sequence[int], period: int) -> tuple[int, ...] | None:

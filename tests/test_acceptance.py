@@ -8,6 +8,7 @@ here; the whole module finishes in a few minutes on commodity hardware.
 import itertools
 import random
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -67,11 +68,11 @@ def test_criterion_01_cyclotomic_identities():
 
 def test_criterion_02_condition_implications(subset_family):
     start = time.perf_counter()
-    bad_a = [f for f in subset_family if f.t1 and f.t2 and f.tiling is None]
-    bad_b = [f for f in subset_family if f.tiling is not None and not f.t1]
+    bad_a = [f for f in subset_family if f["t1"] and f["t2"] and f["tiling"] is None]
+    bad_b = [f for f in subset_family if f["tiling"] is not None and not f["t1"]]
     # every size 2..6 has at most two distinct prime factors, so (c)
     # applies to the whole family
-    bad_c = [f for f in subset_family if f.tiling is not None and not f.t2]
+    bad_c = [f for f in subset_family if f["tiling"] is not None and not f["t2"]]
     ok = not (bad_a or bad_b or bad_c)
     report("2", ok, start,
            f"(a) t1&t2=>tiles, (b) tiles=>t1, (c) tiles=>t2 over {len(subset_family)} sets")
@@ -80,15 +81,20 @@ def test_criterion_02_condition_implications(subset_family):
 
 def test_criterion_03_granville_bound_agreement(subset_family):
     start = time.perf_counter()
+
+    def verified(f, key):
+        cert = f[key]
+        return verify_tiling(IntSet(f["set"]), TilingCertificate(cert["period"], cert["complement"]))
+
     bad = [
         f for f in subset_family
-        if (f.tiling is None) != (f.brute is None)
-        or (f.tiling is not None and not (f.tiling_verified and f.brute_verified))
+        if (f["tiling"] is None) != (f["brute"] is None)
+        or (f["tiling"] is not None and not (verified(f, "tiling") and verified(f, "brute")))
     ]
-    tilers = sum(1 for f in subset_family if f.tiling is not None)
+    tilers = sum(1 for f in subset_family if f["tiling"] is not None)
     report("3", not bad, start,
            f"bound-restricted vs unrestricted period search agree ({tilers} tilers)")
-    assert not bad, [f.instance.elements for f in bad[:5]]
+    assert not bad, [f["set"] for f in bad[:5]]
 
 
 def test_criterion_04_two_factor_equivalence():
@@ -126,14 +132,16 @@ def test_criterion_05_tower_equivalence(three_factor_family):
 
 def test_criterion_06_spectrum_formula(subset_family):
     start = time.perf_counter()
-    eligible = [f for f in subset_family if f.t1 and f.t2]
+    eligible = [f for f in subset_family if f["t1"] and f["t2"]]
     bad = [
         f for f in eligible
-        if f.spectrum_size != f.instance.size - 1 or not f.spectrum_verified
+        if f["spectrum"] is None
+        or len(f["spectrum"]) != f["size"] - 1
+        or not verify_spectrum(IntSet(f["set"]), RationalSpectrum(Fraction(t) for t in f["spectrum"]))
     ]
     report("6", not bad, start,
            f"constructed spectra have size #A-1 and verify on {len(eligible)} sets")
-    assert not bad, [f.instance.elements for f in bad[:5]]
+    assert not bad, [f["set"] for f in bad[:5]]
 
 
 def test_criterion_07_keller_witnesses(three_factor_family):

@@ -178,6 +178,21 @@ def test_batch_rejects_unknown(capsys):
     assert run_cli(capsys, "batch", "subsets", "--check", "t1t2-implies-tiling")[0] == 2
 
 
+def test_batch_rejects_unknown_or_repeated_parameter(capsys):
+    for params in (["max_elem=3", "max_size=2", "max_elm=9"],
+                   ["max_elem=3", "max_size=2", "max_size=3"]):
+        code, out, err = run_cli(capsys, "batch", "subsets", *params, "--check", "granville-period")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
+
+def test_spectrum_theta_only_for_verify(capsys):
+    for mode in ("construct", "search"):
+        code, out, err = run_cli(capsys, "spectrum", mode, "0,2", "--theta", "1/2")
+        assert code == 2 and out == ""
+        assert err == f"error: spectrum {mode} takes no --theta\n"
+
+
 def test_batch_reports_violations_with_exit_one(capsys, monkeypatch):
     # force a violation to exercise the failure path end to end
     from tilecert import families

@@ -1,0 +1,39 @@
+"""Byte-for-byte CLI output on recorded commands.
+
+``golden_cli.json`` holds, for each command, the stdout, stderr and exit
+code of ``cli.main``: every README example, the five subset checks, the
+gate sets, the undecided paths and the input errors.  A change that
+alters any of them must say so and record the file again with
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+import contextlib
+import io
+import json
+import shlex
+from pathlib import Path
+
+import pytest
+
+import tilecert.cli as cli
+
+GOLDEN_PATH = Path(__file__).with_name("golden_cli.json")
+GOLDEN = json.loads(GOLDEN_PATH.read_text())
+
+
+def run(command: str) -> dict:
+    """The stdout, stderr and exit code of one command run through cli.main."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(shlex.split(command))
+    return {"command": command, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+@pytest.mark.parametrize("entry", GOLDEN, ids=[e["command"] for e in GOLDEN])
+def test_cli_output_matches_recording(entry):
+    assert run(entry["command"]) == entry
+
+
+if __name__ == "__main__":
+    GOLDEN_PATH.write_text(json.dumps([run(e["command"]) for e in GOLDEN], indent=1))

@@ -10,8 +10,7 @@ from tilecert.products import ProductSpec
 
 
 def test_report_fields_example():
-    report = analyze_set(IntSet([0, 1, 2, 3]))
-    d = report.to_dict()
+    d = analyze_set(IntSet([0, 1, 2, 3]))
     assert d["set"] == [0, 1, 2, 3]
     assert d["size"] == 4
     assert d["degree"] == 3
@@ -25,7 +24,7 @@ def test_report_fields_example():
 
 
 def test_report_non_tiler():
-    d = analyze_set(IntSet([0, 1, 3])).to_dict()
+    d = analyze_set(IntSet([0, 1, 3]))
     assert d["t1"] is False
     assert d["tiling"] is None
     assert d["spectrum"] is None
@@ -34,16 +33,16 @@ def test_report_non_tiler():
 def test_report_internal_consistency():
     for combo in itertools.combinations(range(9), 3):
         report = analyze_set(IntSet(combo))
-        if report.tiling is not None:
-            assert report.t1
-        if report.spectrum is not None:
-            assert len(report.spectrum) == report.size - 1
+        if report["tiling"] is not None:
+            assert report["t1"]
+        if report["spectrum"] is not None:
+            assert len(report["spectrum"]) == report["size"] - 1
 
 
 def test_report_undecided_with_tiny_cap():
     report = analyze_set(IntSet([0, 1, 2, 3]), cap=3)
-    assert report.tiling is None
-    assert report.tiling_undecided
+    assert report["tiling"] is None
+    assert report["tiling_undecided"]
     d = tiling_report(IntSet([0, 1, 2, 3]), cap=3)
     assert d["tiling_undecided"] is True and d["tiling"] is None
 

@@ -212,6 +212,28 @@ def test_subset_facts_runs_the_spectrum_check(monkeypatch):
         subset_facts(IntSet([0, 1]))
 
 
+def test_verifier_polynomial_does_not_grow_with_offset(monkeypatch, capsys):
+    # the roots on the unit circle do not move under a shift, so the verifier
+    # works on the normalized set; at offset 10**6 the raw polynomial has
+    # degree 1,000,009
+    import tilecert.cli as cli
+
+    degrees = []
+
+    def recorder(p, thetas):
+        degrees.append(p.degree())
+        return verify_spectrum_poly(p, thetas)
+
+    monkeypatch.setattr(spectra, "verify_spectrum_poly", recorder)
+    monkeypatch.setattr(cli, "verify_spectrum_poly", recorder)
+    shifted = IntSet(10**6 + x for x in (0, 1, 8, 9))
+    assert construct_spectrum(shifted) == construct_spectrum(IntSet([0, 1, 8, 9]))
+    assert cli.main(["spectrum", "verify", ",".join(map(str, shifted.elements)),
+                     "--theta", "1/16,1/2,9/16"]) == 0
+    assert '"verified": true' in capsys.readouterr().out
+    assert degrees == [9, 9, 9]
+
+
 def test_constructed_spectrum_of_wrong_size_raises(monkeypatch):
     # (T1) fails on {0,1,3}, whose inventory is empty: forced through, the
     # formula yields no values instead of two.

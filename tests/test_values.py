@@ -8,10 +8,9 @@ import pytest
 
 import tilecert
 from tilecert.analysis import power_sums
-from tilecert.families import product_facts, subset_facts
+from tilecert.families import product_facts
 from tilecert.intpoly import IntPoly
 from tilecert.products import KellerWitness, ProductSpec
-from tilecert.report import analyze_set
 from tilecert.spectra import RationalSpectrum
 from tilecert.tiler import TilingCertificate
 from tilecert.tileset import IntSet, char_poly, divisors_of_poly
@@ -48,23 +47,9 @@ SAMPLES = {
         lambda: KellerWitness((3, -1)),
         "KellerWitness(vector=(3, -1))",
     ),
-    "AnalysisReport": (
-        lambda: analyze_set(IntSet([0, 2])),
-        "AnalysisReport(elements=(0, 2), size=2, degree=2, divisor_indices=(4,), "
-        "prime_power_indices=(4,), t1=True, t2=True, granville_l=4, "
-        "tiling=TilingCertificate(period=4, complement=(0, 1)), tiling_undecided=False, "
-        "spectrum=RationalSpectrum(thetas=(Fraction(1, 4),)), classification=(2, 2))",
-    ),
     "PowerSumSeries": (
         lambda: power_sums(char_poly(IntSet([0, 1, 3, 4])), 3),
         "PowerSumSeries(values=(-1, 1, -4))",
-    ),
-    "SubsetFacts": (
-        lambda: subset_facts(IntSet([0, 2])),
-        "SubsetFacts(instance=IntSet(elements=(0, 2)), t1=True, t2=True, "
-        "tiling=TilingCertificate(period=4, complement=(0, 1)), tiling_verified=True, "
-        "brute=TilingCertificate(period=4, complement=(0, 1)), brute_verified=True, "
-        "spectrum_size=1, spectrum_verified=True)",
     ),
     "ProductFacts": (
         lambda: product_facts(ProductSpec([(1, 2), (3, 2)])),
@@ -75,8 +60,7 @@ SAMPLES = {
 }
 
 # the classes that take the __init__ frozen generates
-GENERATED_INIT = ["AnalysisReport", "CycloDivisors", "KellerWitness", "PowerSumSeries",
-                  "ProductFacts", "SubsetFacts"]
+GENERATED_INIT = ["CycloDivisors", "KellerWitness", "PowerSumSeries", "ProductFacts"]
 
 each_class = pytest.mark.parametrize("name", sorted(SAMPLES))
 
