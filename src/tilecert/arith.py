@@ -1,12 +1,15 @@
 """Small exact number-theory helpers shared across the package.
 
-Everything here is integer-only.  Factorization is trial division, which
-is enough at desk scale, where inputs fit comfortably below 10**7; the
-inverse-totient enumeration sieves its primes once and builds its
-results from prime powers, factorizing nothing.  The root-of-unity
-search for the inventory's fast reject finds the least prime q = 1
-(mod s) by trial division along the progression s + 1, 2s + 1, ...,
-then searches small bases for an element of order exactly s mod q.
+Everything here is integer-only.  Factorization is trial division up to
+the square root, which is enough for the set degrees and cyclotomic
+indices the package factors.  The bounded-totient enumerations
+(``totient_at_most`` and ``divisors_totient_at_most``) build their
+results from prime powers in one depth-first search, pruned by the
+running totient, and factorize nothing; the first sieves its primes
+once.  The root-of-unity search for the inventory's fast reject finds
+the least prime q = 1 (mod s) by trial division along the progression
+s + 1, 2s + 1, ..., then searches small bases for an element of order
+exactly s mod q.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ def prime_power(n: int) -> tuple[int, int] | None:
     return fac[0] if len(fac) == 1 else None
 
 
-def _primes_up_to(n: int) -> list[int]:
+def primes_up_to(n: int) -> list[int]:
     """All primes p <= n, ascending (sieve of Eratosthenes)."""
     if n < 2:
         return []
@@ -85,36 +88,63 @@ def _primes_up_to(n: int) -> list[int]:
     return [p for p, flag in enumerate(sieve) if flag]
 
 
-@lru_cache(maxsize=256)
-def totient_at_most(bound: int) -> tuple[int, ...]:
-    """All s >= 2 with euler_phi(s) <= bound, ascending.
+def _totient_products(factors: list[tuple[int, int]], bound: int) -> list[int]:
+    """All s >= 2 with euler_phi(s) <= bound built from factors, ascending.
 
-    Every prime p dividing s has p - 1 dividing phi(s), so only primes
-    p <= bound + 1 can occur.  A depth-first search multiplies in prime
-    powers p**a in increasing p while the running totient, the product
-    of the factors p**(a-1) * (p-1), stays within the bound.  Each s is
-    reached once, along its factorization, and since phi is
-    multiplicative the running product there is phi(s).  Memoized:
-    batch runs ask for the same few bounds.
+    ``factors`` lists (prime, largest exponent) pairs in increasing
+    prime order.  A depth-first search multiplies in prime powers p**a
+    in increasing p while the running totient, the product of the
+    factors p**(a-1) * (p-1), stays within the bound; the increasing
+    order lets the first prime whose p - 1 overshoots end the loop.
+    Each s is reached once, along its factorization, and since phi is
+    multiplicative the running product there is phi(s).
     """
-    primes = _primes_up_to(bound + 1)
     found: list[int] = []
 
     def extend(start: int, s: int, phi: int) -> None:
-        for i in range(start, len(primes)):
-            p = primes[i]
+        for i in range(start, len(factors)):
+            p, top = factors[i]
             phi_p = phi * (p - 1)
             if phi_p > bound:
                 break
             s_p = s * p
-            while phi_p <= bound:
+            for _ in range(top):
+                if phi_p > bound:
+                    break
                 found.append(s_p)
                 extend(i + 1, s_p, phi_p)
                 s_p *= p
                 phi_p *= p
 
     extend(0, 1, 1)
-    return tuple(sorted(found))
+    return sorted(found)
+
+
+@lru_cache(maxsize=256)
+def totient_at_most(bound: int) -> tuple[int, ...]:
+    """All s >= 2 with euler_phi(s) <= bound, ascending.
+
+    Every prime p dividing s has p - 1 dividing phi(s), so only primes
+    p <= bound + 1 can occur, and p**a with a > bound has a totient
+    above the bound.  Memoized: batch runs ask for the same few bounds.
+    """
+    return tuple(_totient_products([(p, bound) for p in primes_up_to(bound + 1)], bound))
+
+
+def divisors_totient_at_most(factors: list[tuple[int, int]], bound: int) -> list[int]:
+    """The divisors s >= 2 of prod p**e over factors with euler_phi(s) <= bound, ascending.
+
+    ``factors`` holds (prime, exponent) pairs in any order; giving the
+    factorization keeps the product itself, which may be huge, out of
+    the computation.
+    """
+    return _totient_products(sorted(factors), bound)
+
+
+@lru_cache(maxsize=256)
+def prime_count(n: int) -> int:
+    """The number of primes p <= n.  Memoized: the inventory asks it per set size."""
+    return len(primes_up_to(n))
 
 
 @lru_cache(maxsize=None)

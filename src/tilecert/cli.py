@@ -207,7 +207,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         a = IntSet.parse(args.set)
         if args.count < 1:
             raise ValueError("--count must be positive")
-        series = power_sums(char_poly(a), args.count)
+        series = power_sums(char_poly(a.normalized()), args.count)
         _emit({"command": "powersums", "set": list(a.elements),
                "count": args.count, "power_sums": list(series.values)}, args.human)
         return 0

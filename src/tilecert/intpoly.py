@@ -217,7 +217,15 @@ def cyclotomic_at_one(s: int) -> int:
 
 
 def divides_cyclotomic(p: IntPoly, s: int) -> bool:
-    """True iff the s-th cyclotomic polynomial divides p (p nonzero)."""
+    """True iff the s-th cyclotomic polynomial divides p (p nonzero).
+
+    When deg p >= s, p is first folded mod x**s - 1: the coefficient of
+    x**r becomes the sum of p's coefficients at the exponents = r
+    (mod s).  The s-th cyclotomic polynomial divides x**s - 1, so it
+    divides p exactly when it divides the fold; a zero fold means
+    x**s - 1 itself divides p.  The long division then runs on a
+    dividend of degree below s, whatever the degree of p.
+    """
     if s < 1:
         raise ValueError("cyclotomic index must be >= 1")
     if p.is_zero():
@@ -226,5 +234,10 @@ def divides_cyclotomic(p: IntPoly, s: int) -> bool:
     assert deg is not None
     if euler_phi(s) > deg:
         return False
+    if deg >= s:
+        coeffs = p.coeffs
+        p = IntPoly([sum(coeffs[r::s]) for r in range(s)])
+        if p.is_zero():
+            return True
     _, rem = p.divrem(cyclotomic(s))
     return rem.is_zero()

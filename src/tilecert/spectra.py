@@ -120,6 +120,9 @@ def verify_spectrum(a: IntSet, spectrum: RationalSpectrum) -> bool:
     The set is normalized first: a shift multiplies the polynomial by a
     power of x, which moves no root on the unit circle, and the dense
     polynomial then has the set's diameter as degree, not its maximum.
+    Each root condition is decided by ``divides_cyclotomic``, which
+    folds the polynomial mod x**s - 1 first, so every division has a
+    dividend of degree below s whatever the diameter.
     """
     return verify_spectrum_poly(char_poly(a.normalized()), spectrum.thetas)
 

@@ -23,7 +23,15 @@ import itertools
 from collections.abc import Iterable
 from functools import lru_cache
 
-from .arith import prime_power, root_of_unity_mod_prime, totient_at_most
+from .arith import (
+    divisors_totient_at_most,
+    factorize,
+    prime_count,
+    prime_power,
+    primes_up_to,
+    root_of_unity_mod_prime,
+    totient_at_most,
+)
 from .intpoly import IntPoly, cyclotomic_at_one, divides_cyclotomic
 from .values import frozen
 
@@ -106,15 +114,64 @@ def char_poly(a: IntSet) -> IntPoly:
     return IntPoly(coeffs)
 
 
+@lru_cache(maxsize=4096)
+def _mann_divisors(a: int, k: int, bound: int) -> tuple[int, ...]:
+    """The divisors s >= 2 of P_k * a with phi(s) <= bound, P_k the product of the primes <= k."""
+    exps = dict(factorize(a))
+    for r in primes_up_to(k):
+        exps[r] = exps.get(r, 0) + 1
+    return tuple(divisors_totient_at_most(list(exps.items()), bound))
+
+
+def _candidate_indices(exps: list[int]) -> Iterable[int]:
+    """A complete ascending list of the s that can index a divisor, from the exponents.
+
+    See ``cyclotomic_divisor_indices`` for why it is complete.
+    """
+    k, low = len(exps), exps[0]
+    span = exps[-1] - low
+    if (k - 1) * prime_count(k) > span:
+        return totient_at_most(span)
+    found: set[int] = set()
+    for e in exps[1:]:
+        found.update(_mann_divisors(e - low, k, span))
+    return sorted(found)
+
+
 def cyclotomic_divisor_indices(p: IntPoly) -> list[int]:
     """All s >= 2 whose cyclotomic polynomial divides the nonzero polynomial p, ascending.
 
-    A divisor of index s has degree phi(s) <= deg p, so only those s are
-    tested, and they are enumerated directly: every prime r dividing s
-    has r - 1 dividing phi(s), hence r <= deg p + 1, and s is a product
-    of prime powers r**a whose factors r**(a-1) * (r-1) multiply to
-    phi(s) <= deg p.  ``totient_at_most`` lists exactly those s, so the
-    candidate list is complete.
+    Let p have k nonzero terms, the lowest at x**e.  Dividing by x**e
+    moves no root of unity, so a divisor of index s has degree
+    phi(s) <= span, the degree of p / x**e, and every exponent below is
+    taken relative to e.  Two complete candidate lists are known:
+
+    * Sparse p: if the cyclotomic polynomial of index s divides p, then
+      s divides P_k * a for some nonzero relative exponent a, where P_k
+      is the product of the primes <= k.  Indeed, for a primitive s-th
+      root of unity z, p(z) = 0 is a vanishing sum of k roots of unity
+      with nonzero rational coefficients.  Either the term of x**e
+      meets a term whose exponent a has z**a = 1, so s divides a; or
+      it lies, with a term of exponent a and z**a != 1, in a minimal
+      vanishing subsum (one with no vanishing proper subsum) of
+      j <= k terms.  By Mann's theorem (Mathematika 12, 1965;
+      sharpened by Conway and Jones, Acta Arith. 30, 1976) the ratio
+      of two terms of such a subsum has order dividing P_j.  That
+      ratio is z**a, of order s / gcd(s, a), so s divides P_k * a.
+      The candidates are the divisors s >= 2 of the P_k * a with
+      phi(s) <= span; their number does not grow with the degree.
+    * Dense p: ``totient_at_most(span)``, every s with phi(s) <= span.
+      Every prime r dividing s has r - 1 dividing phi(s), hence
+      r <= span + 1, and s is a product of prime powers r**a whose
+      factors r**(a-1) * (r-1) multiply to phi(s) <= span.
+
+    The first list is a subset of the second, so either gives the same
+    result.  The second is used when (k - 1) * pi(k) > span, pi(k) the
+    number of primes <= k, a cheap proxy for which list is shorter: the
+    first joins k - 1 divisor lists of numbers with at least pi(k)
+    prime factors, the second has about 2 * span entries.  The rule
+    reads k and the span only, and builds neither list to compare (the
+    dense list alone takes about a second at degree 200,000).
 
     Most candidates are rejected without a division.  For each s,
     ``root_of_unity_mod_prime`` gives a prime q = 1 (mod s) and an
@@ -126,17 +183,17 @@ def cyclotomic_divisor_indices(p: IntPoly) -> list[int]:
     p over the integers, p(w) = 0 (mod q) follows.  A nonzero p(w) mod q
     therefore rules s out, and every s that survives is decided by the
     exact division of ``divides_cyclotomic``, so the result equals the
-    unfiltered scan.
+    unfiltered scan over every s with phi(s) <= deg p.
     """
     deg = p.degree()
     if deg is None:
         raise ValueError("polynomial must be nonzero")
+    exps = [i for i, c in enumerate(p.coeffs) if c]
     # nonzero terms in ascending order as (gap to the previous exponent, coefficient),
     # so that p(w) mod q is one chained pass of multiplications
-    exps = [i for i, c in enumerate(p.coeffs) if c]
     terms = [(i - j, p.coeffs[i]) for i, j in zip(exps, [0] + exps)]
     found = []
-    for s in totient_at_most(deg):
+    for s in _candidate_indices(exps):
         q, w = root_of_unity_mod_prime(s)
         x, value = 1, 0
         for gap, c in terms:

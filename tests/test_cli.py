@@ -123,6 +123,25 @@ def test_powersums_command(capsys):
     assert run_cli(capsys, "powersums", "0,1", "--count", "0")[0] == 2
 
 
+def test_powersums_polynomial_does_not_grow_with_offset(capsys, monkeypatch):
+    # a shift only adds roots at 0, which add nothing to the power sums, so
+    # the command works on the normalized set; at offset 10**6 the raw
+    # polynomial has degree 1,000,004
+    degrees = []
+    original = cli.power_sums
+
+    def recorder(p, count):
+        degrees.append(p.degree())
+        return original(p, count)
+
+    monkeypatch.setattr(cli, "power_sums", recorder)
+    shifted = ",".join(str(10**6 + x) for x in (0, 1, 3, 4))
+    payload = run_json(capsys, "powersums", shifted, "--count", "3")
+    assert degrees == [4]
+    assert payload["power_sums"] == run_json(capsys, "powersums", "0,1,3,4", "--count", "3")["power_sums"]
+    assert payload["power_sums"] == [-1, 1, -4]
+
+
 def test_classify_command(capsys):
     payload = run_json(capsys, "classify", "0,3,6")
     assert payload["classification"] == {"prime": 3, "exponent": 2}

@@ -169,6 +169,49 @@ def test_divides_cyclotomic_random_products():
         assert divides_cyclotomic(p * cyclotomic(s), s)
 
 
+def test_divides_cyclotomic_fold_matches_unfolded_division():
+    # divides_cyclotomic folds p mod x**s - 1 when deg p >= s; the plain
+    # long division of p itself is the oracle
+    rng = random.Random(7)
+    below = above = divides = 0
+    for trial in range(600):
+        s = rng.randint(1, 40)
+        deg = rng.randint(0, s - 1) if trial % 3 == 0 else rng.randint(s, 4 * s + 10)
+        p = IntPoly([rng.randint(-2, 2) for _ in range(deg)] + [rng.choice((-2, -1, 1, 2))])
+        if trial % 2:
+            p = p * cyclotomic(s)
+        if trial % 3 == 2:
+            # a multiple of x**s - 1: the fold is zero
+            p = p * x_pow_minus_one(s)
+        unfolded = p.divrem(cyclotomic(s))[1].is_zero()
+        assert divides_cyclotomic(p, s) == unfolded, (p, s)
+        below += p.degree() < s
+        above += p.degree() >= s
+        divides += unfolded
+    assert below >= 100 and above >= 400 and 300 <= divides < 600
+
+
+def test_inventory_divides_no_polynomial_of_the_set_degree(monkeypatch):
+    # the inventory and the spectrum check of {0, 1, 200000} divide only
+    # folds, of degree below the index s; unfolded, the inventory divided
+    # the polynomial of degree 200,000
+    from tilecert.report import analyze_set
+    from tilecert.tileset import IntSet, cyclotomic_divisors
+
+    degrees = []
+    original = IntPoly.divrem
+
+    def recorder(self, divisor):
+        degrees.append(self.degree())
+        return original(self, divisor)
+
+    monkeypatch.setattr(IntPoly, "divrem", recorder)
+    cyclotomic_divisors.cache_clear()
+    report = analyze_set(IntSet((0, 1, 200000)))
+    assert report["cyclotomic_divisors"] == [3]
+    assert degrees and max(degrees) < 100, degrees
+
+
 def test_divides_cyclotomic_rejects_zero_poly():
     with pytest.raises(ValueError):
         divides_cyclotomic(IntPoly.zero(), 3)

@@ -1,9 +1,12 @@
-"""The degree-bounded inventory checked against the code it replaced.
+"""The inventory checked against the code it replaced.
 
-The library enumerates the inventory candidates directly and builds each
-cyclotomic polynomial from sparse binomial factors.  The slow paths it
-replaced stay here as oracles:
+The library takes its inventory candidates from Mann's theorem on sparse
+polynomials, enumerates every s with phi(s) <= deg directly on dense
+ones, and builds each cyclotomic polynomial from sparse binomial factors.
+The slow paths it replaced stay here as oracles:
 
+* the totient scan, which tests every s with phi(s) <= deg, with the
+  modular reject in front of the division;
 * the quadratic scan, which tests every s <= 2*deg**2 + 1 with
   phi(s) <= deg (complete because phi(s) > sqrt(s/2) for s >= 2);
 * the recursive cyclotomic, which divides x**s - 1 by the cyclotomic
@@ -17,8 +20,16 @@ import random
 
 import pytest
 
-from tilecert.arith import divisors, euler_phi, factorize, root_of_unity_mod_prime, totient_at_most
+from tilecert.arith import (
+    divisors,
+    divisors_totient_at_most,
+    euler_phi,
+    factorize,
+    root_of_unity_mod_prime,
+    totient_at_most,
+)
 from tilecert.intpoly import IntPoly, cyclotomic, divides_cyclotomic, x_pow_minus_one
+from tilecert import tileset
 from tilecert.tileset import IntSet, char_poly, cyclotomic_divisor_indices
 
 _OLD_CYCLOTOMIC: dict[int, IntPoly] = {}
@@ -46,6 +57,13 @@ def old_divisor_indices(p: IntPoly) -> list[int]:
 def test_totient_enumeration_matches_quadratic_scan():
     for deg in range(121):
         assert list(totient_at_most(deg)) == old_candidates(deg), deg
+
+
+def test_bounded_divisors_match_filtered_divisor_list():
+    for n in range(1, 1201):
+        for bound in (0, 1, 4, 40, 400):
+            expected = [d for d in divisors(n)[1:] if euler_phi(d) <= bound]
+            assert divisors_totient_at_most(factorize(n), bound) == expected, (n, bound)
 
 
 def test_cyclotomic_matches_recursive_division():
@@ -116,3 +134,109 @@ def test_inventory_of_initial_segments():
         assert cyclotomic_divisor_indices(p) == divisors(n)[1:], n
         if n in (60, 128):
             assert cyclotomic_divisor_indices(p) == unfiltered_divisor_indices(p), n
+
+
+def totient_scan_divisor_indices(p: IntPoly) -> list[int]:
+    terms = [(e, c) for e, c in enumerate(p.coeffs) if c]
+    found = []
+    for s in totient_at_most(p.degree()):
+        q, w = root_of_unity_mod_prime(s)
+        if sum(c * pow(w, e, q) for e, c in terms) % q == 0 and divides_cyclotomic(p, s):
+            found.append(s)
+    return found
+
+
+def random_set(rng: random.Random) -> IntSet:
+    k = rng.randint(2, 8)
+    top = rng.randint(k - 1, 300)
+    return IntSet({0, top} | set(rng.sample(range(1, top), k - 2)))
+
+
+def test_mann_candidates_match_totient_scan_on_seeded_sets():
+    # The unfiltered scan costs about 25 ms a set here, so it runs on every
+    # tenth set; the totient scan (the same candidates, and a reject that
+    # keeps every divisor) runs on all of them.
+    rng = random.Random(61)
+    nonempty = 0
+    for trial in range(600):
+        p = char_poly(random_set(rng))
+        found = cyclotomic_divisor_indices(p)
+        assert found == totient_scan_divisor_indices(p), p
+        if trial % 10 == 0:
+            assert found == unfiltered_divisor_indices(p), p
+        nonempty += bool(found)
+    assert nonempty >= 150
+
+
+def test_mann_candidates_on_signed_polynomials_with_zero_constant_term():
+    # x**e times a signed polynomial, so the lowest exponent is e > 0 and
+    # coefficients may be negative or above 1: half are sparse multiples of
+    # x**n - 1 (every Phi_d with d | n divides), half signed cofactors times
+    # cyclotomic polynomials
+    rng = random.Random(73)
+    nonempty = 0
+    for trial in range(200):
+        if trial % 2:
+            n = rng.randint(2, 60)
+            exps = rng.sample(range(0, 60), rng.randint(1, 3))
+            cofactor = IntPoly.zero()
+            for e in exps:
+                cofactor = cofactor + IntPoly([0] * e + [rng.choice((-3, -2, -1, 1, 2))])
+            if cofactor.is_zero():
+                continue
+            p = cofactor * x_pow_minus_one(n)
+        else:
+            p = IntPoly([rng.randint(-2, 2) for _ in range(rng.randint(0, 6))] + [rng.randint(1, 2)])
+            for _ in range(rng.randint(0, 3)):
+                p = p * cyclotomic(rng.randint(2, 30))
+        p = IntPoly([0] * rng.randint(1, 20) + list(p.coeffs))
+        found = cyclotomic_divisor_indices(p)
+        assert found == unfiltered_divisor_indices(p), p
+        nonempty += bool(found)
+    assert nonempty >= 150
+
+
+GATE_SETS = [
+    (0, 1, 8, 9), (0, 3, 7, 28), (3, 7, 10, 14), (0, 9, 18, 108, 117, 126),
+    (0, 1, 240), (0, 1, 120, 240), (0, 5, 11, 17, 23, 61, 130, 201, 245),
+]
+
+
+@pytest.mark.parametrize("elements", GATE_SETS)
+def test_inventory_of_gate_sets_matches_unfiltered_scan(elements):
+    # char_poly keeps the offset, so {3,7,10,14} has a zero constant term
+    p = char_poly(IntSet(elements))
+    assert cyclotomic_divisor_indices(p) == unfiltered_divisor_indices(p)
+
+
+def test_inventory_of_sparse_set_of_degree_1200():
+    # The unfiltered scan takes seconds here.  1 + z + z**1200 = 0 with
+    # |z| = 1 makes 1, z, z**1200 the three cube roots of unity, so z has
+    # order 3 and 1200 = 2 (mod 3), which is false: the inventory is empty.
+    p = char_poly(IntSet((0, 1, 1200)))
+    assert cyclotomic_divisor_indices(p) == totient_scan_divisor_indices(p) == []
+
+
+@pytest.mark.parametrize("poly, candidates", [
+    (char_poly(IntSet((0, 1, 240))), 34),
+    (char_poly(IntSet((0, 1, 200000))), 94),
+    (char_poly(IntSet(range(16))), 25),
+    (IntPoly([0, 0, 0, 0, 0, 3]), 0),
+])
+def test_candidate_counts(monkeypatch, poly, candidates):
+    # one root_of_unity_mod_prime call per candidate: the Mann list does not
+    # grow with the degree ({0,1,240} had 483 totient candidates, {0,1,200000}
+    # about 380,000), {0..15} keeps the totient list, and a monomial has no
+    # cyclotomic divisor and no candidate
+    seen = []
+
+    def recorder(s):
+        seen.append(s)
+        return root_of_unity_mod_prime(s)
+
+    monkeypatch.setattr(tileset, "root_of_unity_mod_prime", recorder)
+    found = cyclotomic_divisor_indices(poly)
+    assert len(seen) == candidates
+    assert seen == sorted(set(seen))
+    if poly.nonzero_terms() == 1:
+        assert found == []
