@@ -17,7 +17,14 @@ import sys
 from . import __version__
 from .analysis import classify_prime_power_cyclotomic, power_sums
 from .families import FAMILIES, run_batch
-from .report import analyze_set, format_fraction, product_report, tiling_report
+from .report import (
+    analyze_set,
+    classification_dict,
+    format_fraction,
+    fraction_list,
+    product_report,
+    tiling_report,
+)
 from .spectra import construct_spectrum, parse_thetas, spectrum_search, verify_spectrum_poly
 from .tileset import IntSet, char_poly
 from .products import ProductSpec
@@ -182,11 +189,9 @@ def _dispatch(args: argparse.Namespace) -> int:
             raise ValueError(f"spectrum {args.mode} takes no --theta")
         payload: dict = {"command": f"spectrum {args.mode}", "set": list(a.elements)}
         if args.mode == "construct":
-            spectrum = construct_spectrum(a)
-            payload["spectrum"] = None if spectrum is None else [format_fraction(t) for t in spectrum]
+            payload["spectrum"] = fraction_list(construct_spectrum(a))
         elif args.mode == "search":
-            spectrum = spectrum_search(a)
-            payload["spectrum"] = None if spectrum is None else [format_fraction(t) for t in spectrum]
+            payload["spectrum"] = fraction_list(spectrum_search(a))
         else:
             if args.theta is None:
                 raise ValueError("spectrum verify needs --theta")
@@ -214,10 +219,9 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "classify":
         a = IntSet.parse(args.set)
-        result = classify_prime_power_cyclotomic(a)
         _emit({"command": "classify", "set": list(a.elements),
-               "classification": None if result is None
-               else {"prime": result[0], "exponent": result[1]}}, args.human)
+               "classification": classification_dict(classify_prime_power_cyclotomic(a))},
+              args.human)
         return 0
 
     if args.command == "batch":

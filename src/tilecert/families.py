@@ -7,9 +7,10 @@ check judges from the facts, so the command-line batch runner and the
 verification suites share a single implementation of each property.
 The facts of a set are the dict ``report.analyze_set`` returns, the
 one ``tilecert analyze`` prints, plus the brute-force certificate; the
-facts of a product spec are a ``ProductFacts``.  ``FAMILIES`` lists
-each family once: its generator, the parameters the generator takes,
-and its checks.
+facts of a product spec are the dict ``report.product_report`` returns,
+the one ``tilecert product`` prints, plus the spec and the outcome of
+the spectrum search.  ``FAMILIES`` lists each family once: its
+generator, the parameters the generator takes, and its checks.
 
 The facts hold certificates only from producers that verify what they
 return and raise ``CertificateError`` otherwise (the tiling search, the
@@ -23,18 +24,11 @@ import itertools
 from collections.abc import Iterable, Iterator
 
 from .arith import factorize
-from .report import analyze_set, cert_dict
+from .report import analyze_set, cert_dict, product_report
 from .spectra import spectrum_search
-from .tileset import IntSet, check_t1, check_t2
-from .tiler import brute_force_tiling, find_tiling
-from .products import (
-    ProductSpec,
-    keller_violation_witness,
-    product_set,
-    tower_condition,
-    two_factor_condition,
-)
-from .values import frozen
+from .tileset import IntSet
+from .tiler import brute_force_tiling
+from .products import ProductSpec
 
 # ---------------------------------------------------------------------------
 # Families
@@ -78,45 +72,21 @@ def subset_facts(a: IntSet) -> dict:
     return facts
 
 
-@frozen
-class ProductFacts:
-    """One pass of the pipeline over a single product spec."""
+def product_facts(spec: ProductSpec) -> dict:
+    """One pass of the pipeline over a single product spec.
 
-    instance: ProductSpec
-    zero_one: bool
-    tower: tuple[int, ...] | None
-    two_factor: bool | None
-    t1: bool | None
-    t2: bool | None
-    tiles: bool | None
-    spectrum_ok: bool | None
-    witness_ok: bool | None
-
-
-def product_facts(spec: ProductSpec) -> ProductFacts:
-    """Facts of one spec; the spectrum search runs on two-factor specs only."""
-    pset = product_set(spec)
-    tower = tower_condition(spec)
-    two = len(spec) == 2
-    witness_ok = None if tower is not None else keller_violation_witness(spec) is not None
-    t1 = t2 = tiles = spectrum_ok = None
-    if pset is not None:
-        t1 = check_t1(pset)
-        t2 = check_t2(pset)
-        tiles = find_tiling(pset) is not None
-        if two:
-            spectrum_ok = spectrum_search(pset) is not None
-    return ProductFacts(
-        instance=spec,
-        zero_one=pset is not None,
-        tower=tower,
-        two_factor=two_factor_condition(spec) if two else None,
-        t1=t1,
-        t2=t2,
-        tiles=tiles,
-        spectrum_ok=spectrum_ok,
-        witness_ok=witness_ok,
-    )
+    The ``product_report`` dict plus "spec", the spec as text, and
+    "spectrum_search": whether the clique search finds a full spectrum
+    of the expanded set, for two-factor 0/1 specs only, else None.
+    """
+    facts = product_report(spec)
+    facts["spec"] = str(spec)
+    sr = facts["set_report"]
+    found = None
+    if sr is not None and len(spec) == 2:
+        found = spectrum_search(IntSet(sr["set"])) is not None
+    facts["spectrum_search"] = found
+    return facts
 
 
 # ---------------------------------------------------------------------------
@@ -167,38 +137,40 @@ def judge_spectrum_formula(f: dict) -> dict | None:
     return None
 
 
-def judge_two_factor_equivalence(f: ProductFacts) -> dict | None:
-    if not f.zero_one:
+def judge_two_factor_equivalence(f: dict) -> dict | None:
+    sr = f["set_report"]
+    if sr is None:
         return None
     outcomes = {
-        "two_factor_condition": f.two_factor,
-        "t1_and_t2": f.t1 and f.t2,
-        "tiles": f.tiles,
-        "spectrum": f.spectrum_ok,
+        "two_factor_condition": f["two_factor_condition"],
+        "t1_and_t2": sr["t1"] and sr["t2"],
+        "tiles": sr["tiling"] is not None,
+        "spectrum": f["spectrum_search"],
     }
     if len(set(outcomes.values())) != 1:
-        return {"spec": str(f.instance), **outcomes}
+        return {"spec": f["spec"], **outcomes}
     return None
 
 
-def judge_tower_equivalence(f: ProductFacts) -> dict | None:
-    if not f.zero_one:
+def judge_tower_equivalence(f: dict) -> dict | None:
+    sr = f["set_report"]
+    if sr is None:
         return None
     outcomes = {
-        "tower": f.tower is not None,
-        "t1_and_t2": f.t1 and f.t2,
-        "tiles": f.tiles,
+        "tower": f["tower_order"] is not None,
+        "t1_and_t2": sr["t1"] and sr["t2"],
+        "tiles": sr["tiling"] is not None,
     }
     if len(set(outcomes.values())) != 1:
-        return {"spec": str(f.instance), **outcomes}
+        return {"spec": f["spec"], **outcomes}
     return None
 
 
-def judge_keller_witness(f: ProductFacts) -> dict | None:
-    if not f.zero_one or f.tower is not None:
+def judge_keller_witness(f: dict) -> dict | None:
+    if f["set_report"] is None or f["tower_order"] is not None:
         return None
-    if not f.witness_ok:
-        return {"spec": str(f.instance), "reason": "no valid violation witness"}
+    if f["keller_witness"] is None:
+        return {"spec": f["spec"], "reason": "no valid violation witness"}
     return None
 
 

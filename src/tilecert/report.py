@@ -31,10 +31,18 @@ def cert_dict(cert: TilingCertificate | None) -> dict | None:
     return {"period": cert.period, "complement": list(cert.complement)}
 
 
-def _fraction_list(spectrum: RationalSpectrum | None) -> list[str] | None:
+def fraction_list(spectrum: RationalSpectrum | None) -> list[str] | None:
+    """A spectrum as a list of "p/q" strings, or None."""
     if spectrum is None:
         return None
     return [format_fraction(t) for t in spectrum.thetas]
+
+
+def classification_dict(classification: tuple[int, int] | None) -> dict | None:
+    """A (prime, exponent) classification as {"prime", "exponent"}, or None."""
+    if classification is None:
+        return None
+    return {"prime": classification[0], "exponent": classification[1]}
 
 
 def format_fraction(f: Fraction) -> str:
@@ -62,7 +70,6 @@ def analyze_set(a: IntSet, cap: int | None = None) -> dict:
     reported undecided instead of searched.
     """
     inv = cyclotomic_divisors(a)
-    classification = classify_prime_power_cyclotomic(a)
     return {
         "set": list(a.elements),
         "size": a.size,
@@ -72,12 +79,8 @@ def analyze_set(a: IntSet, cap: int | None = None) -> dict:
         "t1": check_t1(a),
         "t2": check_t2(a),
         **_tiling(a, cap),
-        "spectrum": _fraction_list(construct_spectrum(a)),
-        "classification": (
-            None
-            if classification is None
-            else {"prime": classification[0], "exponent": classification[1]}
-        ),
+        "spectrum": fraction_list(construct_spectrum(a)),
+        "classification": classification_dict(classify_prime_power_cyclotomic(a)),
     }
 
 

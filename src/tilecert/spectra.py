@@ -165,18 +165,26 @@ def _find_clique(adj: list[int], target: int) -> list[int] | None:
 
     Branch and bound: at each node the candidate with the fewest
     compatible partners is chosen (ties broken by index), and the search
-    branches on including or excluding it, pruning when the current
-    clique plus all remaining candidates cannot reach the target.
+    branches on including or excluding it, including first, pruning when
+    the current clique plus all remaining candidates cannot reach the
+    target.  The search runs on an explicit stack of open branches, each
+    holding the clique size it starts from, the vertex it adds (or -1)
+    and its candidate mask, so a clique of any size needs no Python
+    recursion.
     """
-    n = len(adj)
-
-    def grow(members: list[int], allowed: int) -> list[int] | None:
+    members: list[int] = []
+    stack = [(0, -1, (1 << len(adj)) - 1)]
+    while stack:
+        size, added, allowed = stack.pop()
+        del members[size:]
+        if added >= 0:
+            members.append(added)
         if len(members) == target:
             return members
         if len(members) + allowed.bit_count() < target:
-            return None
+            continue
         best = -1
-        best_deg = n + 1
+        best_deg = len(adj) + 1
         mask = allowed
         while mask:
             v = (mask & -mask).bit_length() - 1
@@ -184,12 +192,10 @@ def _find_clique(adj: list[int], target: int) -> list[int] | None:
             if deg < best_deg:
                 best, best_deg = v, deg
             mask &= mask - 1
-        taken = grow(members + [best], allowed & adj[best])
-        if taken is not None:
-            return taken
-        return grow(members, allowed & ~(1 << best))
-
-    return grow([], (1 << n) - 1)
+        # pushed last, the include branch is searched first
+        stack.append((len(members), -1, allowed & ~(1 << best)))
+        stack.append((len(members), best, allowed & adj[best]))
+    return None
 
 
 def spectrum_search_poly(p: IntPoly, target: int | None = None) -> RationalSpectrum | None:

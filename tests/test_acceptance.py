@@ -27,7 +27,7 @@ from tilecert.intpoly import IntPoly, cyclotomic, cyclotomic_at_one, x_pow_minus
 from tilecert.spectra import RationalSpectrum, verify_spectrum
 from tilecert.tileset import IntSet
 from tilecert.tiler import TilingCertificate, find_tiling, verify_tiling
-from tilecert.products import w_basis
+from tilecert.products import ProductSpec, w_basis
 
 SUBSET_MAX_ELEM = 14
 SUBSET_MAX_SIZE = 6
@@ -103,10 +103,12 @@ def test_criterion_04_two_factor_equivalence():
     checked = 0
     for spec in two_factor_specs(8, 4):
         f = product_facts(spec)
-        if not f.zero_one:
+        sr = f["set_report"]
+        if sr is None:
             continue
         checked += 1
-        outcomes = {f.two_factor, f.t1 and f.t2, f.tiles, f.spectrum_ok}
+        outcomes = {f["two_factor_condition"], sr["t1"] and sr["t2"], sr["tiling"] is not None,
+                    f["spectrum_search"]}
         if len(outcomes) != 1:
             violations.append((str(spec), f))
     report("4", not violations, start,
@@ -119,12 +121,13 @@ def test_criterion_05_tower_equivalence(three_factor_family):
     violations = []
     checked = 0
     for f in three_factor_family:
-        if not f.zero_one:
+        sr = f["set_report"]
+        if sr is None:
             continue
         checked += 1
-        outcomes = {f.tower is not None, f.t1 and f.t2, f.tiles}
+        outcomes = {f["tower_order"] is not None, sr["t1"] and sr["t2"], sr["tiling"] is not None}
         if len(outcomes) != 1:
-            violations.append(str(f.instance))
+            violations.append(f["spec"])
     report("5", not violations, start,
            f"tower<=>t1&t2<=>tiles over {checked} three-factor specs")
     assert not violations, violations[:5]
@@ -146,11 +149,13 @@ def test_criterion_06_spectrum_formula(subset_family):
 
 def test_criterion_07_keller_witnesses(three_factor_family):
     start = time.perf_counter()
-    failures = [f for f in three_factor_family if f.zero_one and f.tower is None]
-    bad = [f for f in failures if not f.witness_ok]
+    failures = [
+        f for f in three_factor_family if f["set_report"] is not None and f["tower_order"] is None
+    ]
+    bad = [f for f in failures if f["keller_witness"] is None]
     report("7", not bad, start,
            f"valid violation witness for all {len(failures)} tower failures")
-    assert not bad, [str(f.instance) for f in bad[:5]]
+    assert not bad, [f["spec"] for f in bad[:5]]
 
 
 def _cyclotomic_product_multisets():
@@ -255,9 +260,9 @@ def test_criterion_10_lattice_span(three_factor_family):
     violations = []
     checked = 0
     for f in three_factor_family:
-        if not f.zero_one:
+        if f["set_report"] is None:
             continue
-        spec = f.instance
+        spec = ProductSpec.parse(f["spec"])
         basis = echelon(w_basis(spec))
         steps = spec.steps
         for w in itertools.product(range(-5, 6), repeat=3):

@@ -1,4 +1,6 @@
 import itertools
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -246,3 +248,82 @@ def test_unverified_searched_spectrum_raises(monkeypatch):
     monkeypatch.setattr(spectra, "verify_spectrum_poly", lambda p, thetas: False)
     with pytest.raises(CertificateError):
         spectrum_search(IntSet([0, 1]))
+
+
+def recursive_find_clique(adj, target):
+    """The clique search as it was written before the explicit stack: the oracle."""
+    n = len(adj)
+
+    def grow(members, allowed):
+        if len(members) == target:
+            return members
+        if len(members) + allowed.bit_count() < target:
+            return None
+        best = -1
+        best_deg = n + 1
+        mask = allowed
+        while mask:
+            v = (mask & -mask).bit_length() - 1
+            deg = (adj[v] & allowed).bit_count()
+            if deg < best_deg:
+                best, best_deg = v, deg
+            mask &= mask - 1
+        taken = grow(members + [best], allowed & adj[best])
+        if taken is not None:
+            return taken
+        return grow(members, allowed & ~(1 << best))
+
+    return grow([], (1 << n) - 1)
+
+
+GATE_SETS = [
+    (0, 1, 8, 9),
+    (0, 3, 7, 28),
+    (3, 7, 10, 14),
+    (0, 9, 18, 108, 117, 126),
+    (0, 1, 240),
+    (0, 1, 120, 240),
+    (0, 5, 11, 17, 23, 61, 130, 201, 245),
+]
+
+
+def test_clique_search_matches_recursive_oracle_on_random_graphs():
+    rng = random.Random(20260)
+    for _ in range(400):
+        n = rng.randint(0, 18)
+        density = rng.random()
+        adj = [0] * n
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < density:
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+        for target in range(n + 2):
+            assert spectra._find_clique(adj, target) == recursive_find_clique(adj, target)
+
+
+def test_spectrum_search_matches_recursive_oracle(monkeypatch):
+    rng = random.Random(7)
+    sets = [IntSet(a) for a in GATE_SETS]
+    sets += [IntSet(rng.sample(range(41), rng.randint(2, 7))) for _ in range(80)]
+    found = [spectrum_search(a) for a in sets]
+    monkeypatch.setattr(spectra, "_find_clique", recursive_find_clique)
+    assert found == [spectrum_search(a) for a in sets]
+    assert any(s is not None and len(s) >= 3 for s in found)
+
+
+def test_spectrum_search_needs_no_recursion():
+    # every fraction j/60 is in the spectrum of {0, ..., 59}, so a search
+    # that recursed once per branching step would go 59 frames deep
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        spectrum = spectrum_search(IntSet(range(60)))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert spectrum == RationalSpectrum(F(j, 60) for j in range(1, 60))

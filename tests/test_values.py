@@ -8,7 +8,6 @@ import pytest
 
 import tilecert
 from tilecert.analysis import power_sums
-from tilecert.families import product_facts
 from tilecert.intpoly import IntPoly
 from tilecert.products import KellerWitness, ProductSpec
 from tilecert.spectra import RationalSpectrum
@@ -51,16 +50,10 @@ SAMPLES = {
         lambda: power_sums(char_poly(IntSet([0, 1, 3, 4])), 3),
         "PowerSumSeries(values=(-1, 1, -4))",
     ),
-    "ProductFacts": (
-        lambda: product_facts(ProductSpec([(1, 2), (3, 2)])),
-        "ProductFacts(instance=ProductSpec(factors=((1, 2), (3, 2))), zero_one=True, "
-        "tower=None, two_factor=False, t1=False, t2=True, tiles=False, spectrum_ok=False, "
-        "witness_ok=True)",
-    ),
 }
 
 # the classes that take the __init__ frozen generates
-GENERATED_INIT = ["CycloDivisors", "KellerWitness", "PowerSumSeries", "ProductFacts"]
+GENERATED_INIT = ["CycloDivisors", "KellerWitness", "PowerSumSeries"]
 
 each_class = pytest.mark.parametrize("name", sorted(SAMPLES))
 
