@@ -13,7 +13,6 @@ from .intpoly import (
     cyclotomic,
     cyclotomic_at_one,
     divides_cyclotomic,
-    x_pow_minus_one,
 )
 from .tileset import (
     CertificateError,
@@ -32,7 +31,6 @@ from .tiler import (
     find_tiling,
     granville_bound,
     search_periods,
-    tiles_z,
     verify_tiling,
 )
 from .spectra import (
@@ -46,24 +44,19 @@ from .spectra import (
     verify_spectrum_poly,
 )
 from .products import (
-    KellerWitness,
     ProductSpec,
     check_keller_violation,
     factor_poly,
     is_zero_one,
     keller_violation_witness,
-    normalize_gcd,
     product_poly,
     product_set,
     tower_condition,
     two_factor_condition,
-    w_basis,
 )
 from .analysis import (
-    PowerSumSeries,
     classify_prime_power_cyclotomic,
     power_sums,
-    ramanujan_sum,
 )
 from .report import analyze_set, product_report, tiling_report
 
@@ -74,9 +67,7 @@ __all__ = [
     "CycloDivisors",
     "IntPoly",
     "IntSet",
-    "KellerWitness",
     "PeriodCapExceeded",
-    "PowerSumSeries",
     "ProductSpec",
     "RationalSpectrum",
     "TilingCertificate",
@@ -100,22 +91,17 @@ __all__ = [
     "is_zero_one",
     "keller_violation_witness",
     "max_spectrum_size",
-    "normalize_gcd",
     "power_sums",
     "product_poly",
     "product_report",
     "product_set",
-    "ramanujan_sum",
     "search_periods",
     "spectrum_search",
     "spectrum_search_poly",
-    "tiles_z",
     "tiling_report",
     "tower_condition",
     "two_factor_condition",
     "verify_spectrum",
     "verify_spectrum_poly",
     "verify_tiling",
-    "w_basis",
-    "x_pow_minus_one",
 ]

@@ -1,5 +1,4 @@
-"""Power sums of polynomial roots, Ramanujan sums, and the prime-power
-cyclotomic pattern.
+"""Power sums of polynomial roots, and the prime-power cyclotomic pattern.
 
 For a monic integer polynomial of degree M with coefficients b_0..b_M,
 Newton's identities give the power sums S_j of its roots exactly:
@@ -8,11 +7,8 @@ Newton's identities give the power sums S_j of its roots exactly:
     S_j + b_{M-1}*S_{j-1} + ... + b_0*S_{j-M}           = 0   (j > M)
 
 The j > M line is the standard homogeneous extension, needed to compare
-against independent oracles beyond the degree.  One such oracle is the
-Ramanujan sum c_s(j), the sum of j-th powers of the primitive s-th roots
-of unity, computed exactly from the Moebius function:
-
-    c_s(j) = sum over d | gcd(j, s) of d * mu(s / d).
+against independent oracles beyond the degree, such as the Ramanujan
+sums the tests keep.
 
 The classifier at the bottom recognizes arithmetic progressions
 {0, t, 2t, ..., (p-1)t} with p prime and t a power of p -- exactly the
@@ -22,32 +18,16 @@ polynomial, of index p**alpha with t = p**(alpha-1).
 
 from __future__ import annotations
 
-import math
-
-from .arith import divisors, is_prime, mobius
+from .arith import is_prime
 from .intpoly import IntPoly
 from .tileset import IntSet
-from .values import frozen
 
 
-@frozen
-class PowerSumSeries:
-    """Exact power sums S_1, ..., S_count of the roots of a monic polynomial."""
+def power_sums(p: IntPoly, count: int) -> tuple[int, ...]:
+    """(S_1, ..., S_count) for a monic polynomial of degree >= 1, via Newton's identities.
 
-    values: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, j: int) -> int:
-        """S_j for 1 <= j <= count (1-based, matching the subscript)."""
-        if not 1 <= j <= len(self.values):
-            raise IndexError(f"S_{j} not computed")
-        return self.values[j - 1]
-
-
-def power_sums(p: IntPoly, count: int) -> PowerSumSeries:
-    """S_1..S_count for a monic polynomial of degree >= 1, via Newton's identities."""
+    S_j sits at index j - 1.
+    """
     if not p.is_monic() or len(p.coeffs) < 2:
         raise ValueError("polynomial must be monic of degree >= 1")
     if count < 1:
@@ -61,15 +41,7 @@ def power_sums(p: IntPoly, count: int) -> PowerSumSeries:
             if j - i >= 1:
                 acc += b[deg - i] * sums[j - i - 1]
         sums.append(-acc)
-    return PowerSumSeries(tuple(sums))
-
-
-def ramanujan_sum(s: int, j: int) -> int:
-    """The Ramanujan sum c_s(j), exact for any integer j and s >= 1."""
-    if s < 1:
-        raise ValueError("s must be positive")
-    g = math.gcd(abs(j), s)
-    return sum(d * mobius(s // d) for d in divisors(g))
+    return tuple(sums)
 
 
 def classify_prime_power_cyclotomic(a: IntSet) -> tuple[int, int] | None:

@@ -54,16 +54,6 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def mobius(n: int) -> int:
-    """Moebius function: 0 on non-squarefree n, else (-1)**(number of primes)."""
-    result = 1
-    for _, e in factorize(n):
-        if e > 1:
-            return 0
-        result = -result
-    return result
-
-
 def is_prime(n: int) -> bool:
     return n >= 2 and factorize(n) == [(n, 1)]
 

@@ -214,7 +214,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             raise ValueError("--count must be positive")
         series = power_sums(char_poly(a.normalized()), args.count)
         _emit({"command": "powersums", "set": list(a.elements),
-               "count": args.count, "power_sums": list(series.values)}, args.human)
+               "count": args.count, "power_sums": list(series)}, args.human)
         return 0
 
     if args.command == "classify":

@@ -49,10 +49,10 @@ def two_factor_specs(max_m: int, max_n: int) -> Iterator[ProductSpec]:
             yield ProductSpec([(m1, n1), (m2, n2)])
 
 
-def three_factor_specs(max_m: int, lengths: tuple[int, ...] = (2, 3)) -> Iterator[ProductSpec]:
-    """All three-factor specs with steps up to max_m and lengths from the given pool."""
+def three_factor_specs(max_m: int) -> Iterator[ProductSpec]:
+    """All three-factor specs with steps up to max_m and lengths 2 or 3."""
     for ms in itertools.product(range(1, max_m + 1), repeat=3):
-        for ns in itertools.product(lengths, repeat=3):
+        for ns in itertools.product((2, 3), repeat=3):
             yield ProductSpec(zip(ms, ns))
 
 

@@ -36,10 +36,6 @@ class IntPoly:
         object.__setattr__(self, "coeffs", tuple(cs))
 
     @classmethod
-    def zero(cls) -> "IntPoly":
-        return cls(())
-
-    @classmethod
     def one(cls) -> "IntPoly":
         return cls((1,))
 
@@ -75,15 +71,7 @@ class IntPoly:
             out[i] += c
         return IntPoly(out)
 
-    def __neg__(self) -> "IntPoly":
-        return IntPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "IntPoly":
-        if isinstance(other, int):
-            return IntPoly([c * other for c in self.coeffs])
+    def __mul__(self, other: "IntPoly") -> "IntPoly":
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return IntPoly(())
@@ -93,8 +81,6 @@ class IntPoly:
                 for j, d in enumerate(b):
                     out[i + j] += c * d
         return IntPoly(out)
-
-    __rmul__ = __mul__
 
     def divrem(self, divisor: "IntPoly") -> tuple["IntPoly", "IntPoly"]:
         """Long division by a monic divisor: self = divisor*quot + rem.
@@ -138,13 +124,6 @@ class IntPoly:
 
     def __repr__(self) -> str:
         return f"IntPoly('{self}')"
-
-
-def x_pow_minus_one(n: int) -> IntPoly:
-    """The polynomial x**n - 1 for n >= 1."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return IntPoly([-1] + [0] * (n - 1) + [1])
 
 
 def _times_binomial(coeffs: list[int], d: int) -> list[int]:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
+from operator import index
 
 from .intpoly import IntPoly
 from .tileset import CertificateError, IntSet
@@ -39,7 +40,7 @@ from .values import frozen
 
 @frozen
 class ProductSpec:
-    """Factors (m_i, n_i) with m_i >= 1 and n_i >= 2.
+    """Factors (m_i, n_i) of integers with m_i >= 1 and n_i >= 2.
 
     Pairwise gcds d_ij = gcd(m_i, m_j) are recomputed on demand, never
     stored, so they cannot go stale.
@@ -48,7 +49,8 @@ class ProductSpec:
     factors: tuple[tuple[int, int], ...]
 
     def __init__(self, factors: Iterable[tuple[int, int]]):
-        fs = tuple((int(m), int(n)) for m, n in factors)
+        # a float or a string is a TypeError, not a silently different polynomial
+        fs = tuple((index(m), index(n)) for m, n in factors)
         if not fs:
             raise ValueError("need at least one factor")
         if any(m < 1 for m, _ in fs):
@@ -89,13 +91,6 @@ class ProductSpec:
         return ",".join(f"{m}:{n}" for m, n in self.factors)
 
 
-@frozen
-class KellerWitness:
-    """A vector violating Keller's property for the step lattice."""
-
-    vector: tuple[int, ...]
-
-
 def factor_poly(m: int, n: int) -> IntPoly:
     """The progression polynomial 1 + x**m + ... + x**((n-1)*m)."""
     coeffs = [0] * (m * (n - 1) + 1)
@@ -123,18 +118,6 @@ def product_set(spec: ProductSpec) -> IntSet | None:
     if not is_zero_one(p):
         return None
     return IntSet(i for i, c in enumerate(p.coeffs) if c)
-
-
-def normalize_gcd(spec: ProductSpec) -> ProductSpec:
-    """Divide every step by the gcd of all steps.
-
-    Tiling, both Coven-Meyerowitz conditions, and the tower condition
-    are invariant under this contraction.
-    """
-    g = math.gcd(*spec.steps)
-    if g == 1:
-        return spec
-    return ProductSpec((m // g, n) for m, n in spec.factors)
 
 
 def _peel(spec: ProductSpec) -> tuple[list[int], list[int], list[list[bool]]]:
@@ -193,12 +176,6 @@ def _pair_vector(spec: ProductSpec, i: int, j: int) -> list[int]:
     return vec
 
 
-def w_basis(spec: ProductSpec) -> list[tuple[int, ...]]:
-    """Generators of the lattice {w : <w, steps> = 0}: all pair vectors i < j."""
-    n = len(spec)
-    return [tuple(_pair_vector(spec, i, j)) for i in range(n) for j in range(i + 1, n)]
-
-
 def check_keller_violation(spec: ProductSpec, vector: Sequence[int]) -> bool:
     """True iff the vector certifies a Keller-property violation.
 
@@ -214,7 +191,7 @@ def check_keller_violation(spec: ProductSpec, vector: Sequence[int]) -> bool:
     return all(w == 0 or w % n != 0 for w, n in zip(vec, spec.lengths))
 
 
-def keller_violation_witness(spec: ProductSpec) -> KellerWitness | None:
+def keller_violation_witness(spec: ProductSpec) -> tuple[int, ...] | None:
     """None when the tower condition holds; otherwise a violation witness.
 
     The construction follows the failure structure of the tower chain.
@@ -251,4 +228,4 @@ def keller_violation_witness(spec: ProductSpec) -> KellerWitness | None:
             vec = [a + b for a, b in zip(vec, pair)]
     if not check_keller_violation(spec, vec):
         raise CertificateError(f"Keller witness {vec} for {spec} failed verification")
-    return KellerWitness(tuple(vec))
+    return tuple(vec)

@@ -112,7 +112,7 @@ def product_report(spec: ProductSpec, cap: int | None = None) -> dict:
         "two_factor_condition": (
             two_factor_condition(spec) if len(spec) == 2 else None
         ),
-        "keller_witness": None if witness is None else list(witness.vector),
+        "keller_witness": None if witness is None else list(witness),
         "set_report": None,
     }
     if pset is not None:

@@ -198,22 +198,20 @@ def _find_clique(adj: list[int], target: int) -> list[int] | None:
     return None
 
 
-def spectrum_search_poly(p: IntPoly, target: int | None = None) -> RationalSpectrum | None:
-    """Complete search for a rational spectrum of a nonnegative polynomial.
+def spectrum_search_poly(p: IntPoly) -> RationalSpectrum | None:
+    """Complete search for a full rational spectrum of a nonnegative polynomial.
 
-    ``target`` is the number of theta values wanted; it defaults to
-    p(1) - 1, the full-spectrum size.  Candidates are exactly the
-    fractions in (0, 1) whose reduced denominator indexes a cyclotomic
-    divisor of p (their difference with the implicit 0 must already be a
-    root), and two candidates are compatible when their difference mod 1
-    is a root; a spectrum is a clique of the target size.  None means no
-    rational spectrum of that size exists.
+    A full spectrum has p(1) - 1 theta values, the target size.
+    Candidates are exactly the fractions in (0, 1) whose reduced
+    denominator indexes a cyclotomic divisor of p (their difference with
+    the implicit 0 must already be a root), and two candidates are
+    compatible when their difference mod 1 is a root; a spectrum is a
+    clique of the target size.  None means no full rational spectrum
+    exists.
     """
-    n_value = p(1)
-    if target is None:
-        target = n_value - 1
+    target = p(1) - 1
     if target < 0:
-        raise ValueError("target size must be nonnegative")
+        raise ValueError(f"a spectrum needs p(1) >= 1, got {target + 1}")
     if target == 0:
         return RationalSpectrum(())
     if target + 1 > max_spectrum_size(p):
@@ -242,4 +240,4 @@ def spectrum_search_poly(p: IntPoly, target: int | None = None) -> RationalSpect
 
 def spectrum_search(a: IntSet) -> RationalSpectrum | None:
     """Search for a full rational spectrum of the set (target size #A - 1)."""
-    return spectrum_search_poly(char_poly(a.normalized()), a.size - 1)
+    return spectrum_search_poly(char_poly(a.normalized()))

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
+from operator import index
 
 from .arith import divisors
 from .tileset import CertificateError, IntSet, cyclotomic_divisors
@@ -52,7 +53,8 @@ class TilingCertificate:
     complement: tuple[int, ...]
 
     def __init__(self, period: int, complement: Iterable[int]):
-        comp = tuple(sorted(complement))
+        period = index(period)  # a float or a string is a TypeError
+        comp = tuple(sorted(map(index, complement)))
         if period < 1:
             raise ValueError("period must be positive")
         if not comp:
@@ -165,15 +167,13 @@ def find_tiling(a: IntSet, cap: int | None = None) -> TilingCertificate | None:
     return search_periods(a, divisors(bound))
 
 
-def brute_force_tiling(a: IntSet, max_period: int | None = None) -> TilingCertificate | None:
-    """Try every period up to 2*max(A) + 2 (or the override).
+def brute_force_tiling(a: IntSet) -> TilingCertificate | None:
+    """Try every period up to 2*max(A) + 2.
 
     It shares the exact-cover search with find_tiling, so it cross-checks
     Granville's period bound only.
     """
-    if max_period is None:
-        max_period = 2 * a.elements[-1] + 2
-    return search_periods(a, range(1, max_period + 1))
+    return search_periods(a, range(1, 2 * a.elements[-1] + 3))
 
 
 def verify_tiling(a: IntSet, cert: TilingCertificate) -> bool:
@@ -189,8 +189,3 @@ def verify_tiling(a: IntSet, cert: TilingCertificate) -> bool:
                 return False
             counts[r] = 1
     return all(counts)
-
-
-def tiles_z(a: IntSet, cap: int | None = None) -> bool:
-    """True iff the set tiles the integers by translations."""
-    return find_tiling(a, cap=cap) is not None

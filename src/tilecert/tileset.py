@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable
 from functools import lru_cache
+from operator import index
 
 from .arith import (
     divisors_totient_at_most,
@@ -43,7 +44,8 @@ class IntSet:
     elements: tuple[int, ...]
 
     def __init__(self, elements: Iterable[int]):
-        elems = sorted(elements)
+        # a float or a string is a TypeError here, not a failure deep in a later stage
+        elems = sorted(map(index, elements))
         if len(elems) < 2:
             raise ValueError("a tile candidate needs at least two elements")
         if elems[0] < 0:
@@ -65,20 +67,12 @@ class IntSet:
     def size(self) -> int:
         return len(self.elements)
 
-    @property
-    def offset(self) -> int:
-        """The minimum element, retained so reports can show the raw input."""
-        return self.elements[0]
-
     def normalized(self) -> "IntSet":
         """Translate so the minimum element becomes 0."""
         if self.elements[0] == 0:
             return self
         m = self.elements[0]
         return IntSet(x - m for x in self.elements)
-
-    def shifted(self, k: int) -> "IntSet":
-        return IntSet(x + k for x in self.elements)
 
     def __str__(self) -> str:
         return "{" + ",".join(str(x) for x in self.elements) + "}"

@@ -4,9 +4,13 @@ Reduces a generator matrix to an integer row-echelon form (Hermite
 style) with exact extended-gcd row combinations, then decides lattice
 membership by greedy reduction against the pivots.  Lives in the test
 suite on purpose: the library's public surface does not need it.
+``w_basis`` lists the pair vectors the Keller witness is summed from,
+so the lattice-span checks test the very vectors the library uses.
 """
 
 from __future__ import annotations
+
+from tilecert.products import ProductSpec, _pair_vector
 
 
 def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -60,3 +64,9 @@ def in_lattice(echelon_rows: list[list[int]], vector) -> bool:
         if k:
             w = [a - k * b for a, b in zip(w, row)]
     return not any(w)
+
+
+def w_basis(spec: ProductSpec) -> list[tuple[int, ...]]:
+    """Generators of the lattice {w : <w, steps> = 0}: all pair vectors i < j."""
+    n = len(spec)
+    return [tuple(_pair_vector(spec, i, j)) for i in range(n) for j in range(i + 1, n)]

@@ -1,0 +1,42 @@
+"""Test-only oracles: closed forms the library's results are compared with.
+
+The Ramanujan sum c_s(j) is the sum of the j-th powers of the primitive
+s-th roots of unity, computed exactly from the Moebius function:
+
+    c_s(j) = sum over d | gcd(j, s) of d * mu(s / d).
+
+Power sums of a product of cyclotomic polynomials are sums of these, so
+they check Newton's identities in ``tilecert.analysis`` independently.
+"""
+
+from __future__ import annotations
+
+import math
+
+from tilecert.arith import divisors, factorize
+from tilecert.intpoly import IntPoly
+
+
+def mobius(n: int) -> int:
+    """Moebius function: 0 on non-squarefree n, else (-1)**(number of primes)."""
+    result = 1
+    for _, e in factorize(n):
+        if e > 1:
+            return 0
+        result = -result
+    return result
+
+
+def ramanujan_sum(s: int, j: int) -> int:
+    """The Ramanujan sum c_s(j), exact for any integer j and s >= 1."""
+    if s < 1:
+        raise ValueError("s must be positive")
+    g = math.gcd(abs(j), s)
+    return sum(d * mobius(s // d) for d in divisors(g))
+
+
+def x_pow_minus_one(n: int) -> IntPoly:
+    """The polynomial x**n - 1 for n >= 1."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    return IntPoly([-1] + [0] * (n - 1) + [1])

@@ -13,9 +13,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lattice import echelon, in_lattice
+from lattice import echelon, in_lattice, w_basis
+from oracles import ramanujan_sum, x_pow_minus_one
 from tilecert.arith import divisors, euler_phi
-from tilecert.analysis import classify_prime_power_cyclotomic, power_sums, ramanujan_sum
+from tilecert.analysis import classify_prime_power_cyclotomic, power_sums
 from tilecert.families import (
     product_facts,
     subset_facts,
@@ -23,11 +24,11 @@ from tilecert.families import (
     three_factor_specs,
     two_factor_specs,
 )
-from tilecert.intpoly import IntPoly, cyclotomic, cyclotomic_at_one, x_pow_minus_one
+from tilecert.intpoly import IntPoly, cyclotomic, cyclotomic_at_one
 from tilecert.spectra import RationalSpectrum, verify_spectrum
 from tilecert.tileset import IntSet
 from tilecert.tiler import TilingCertificate, find_tiling, verify_tiling
-from tilecert.products import ProductSpec, w_basis
+from tilecert.products import ProductSpec
 
 SUBSET_MAX_ELEM = 14
 SUBSET_MAX_SIZE = 6
@@ -46,7 +47,7 @@ def subset_family():
 
 @pytest.fixture(scope="module")
 def three_factor_family():
-    return [product_facts(spec) for spec in three_factor_specs(6, (2, 3))]
+    return [product_facts(spec) for spec in three_factor_specs(6)]
 
 
 def test_criterion_01_cyclotomic_identities():
@@ -190,7 +191,7 @@ def test_criterion_08_power_sum_oracles():
             prod = prod * cyclotomic(s)
         series = power_sums(prod, 40)
         for j in range(1, 41):
-            if series[j] != sum(ramanujan_sum(s, j) for s in ms):
+            if series[j - 1] != sum(ramanujan_sum(s, j) for s in ms):
                 violations.append(("ramanujan", ms, j))
         products += 1
 
@@ -206,7 +207,7 @@ def test_criterion_08_power_sum_oracles():
         p = IntPoly(coeffs)
         gap = deg - second
         series = power_sums(p, gap)
-        if any(series[j] != 0 for j in range(1, gap)) or series[gap] != -gap:
+        if any(series[j - 1] != 0 for j in range(1, gap)) or series[gap - 1] != -gap:
             violations.append(("gap", tuple(sorted(exponents))))
 
     # (c) numeric root summation to 1e-6 for degree <= 30
@@ -222,7 +223,7 @@ def test_criterion_08_power_sum_oracles():
         roots = np.roots(list(reversed(p.coeffs)))
         series = power_sums(p, 12)
         for j in range(1, 13):
-            if abs(sum(r**j for r in roots) - series[j]) > NUMERIC_TOLERANCE:
+            if abs(sum(r**j for r in roots) - series[j - 1]) > NUMERIC_TOLERANCE:
                 violations.append(("numeric", tuple(p.coeffs), j))
 
     report("8", not violations, start,

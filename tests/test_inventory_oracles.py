@@ -20,6 +20,7 @@ import random
 
 import pytest
 
+from oracles import x_pow_minus_one
 from tilecert.arith import (
     divisors,
     divisors_totient_at_most,
@@ -28,7 +29,7 @@ from tilecert.arith import (
     root_of_unity_mod_prime,
     totient_at_most,
 )
-from tilecert.intpoly import IntPoly, cyclotomic, divides_cyclotomic, x_pow_minus_one
+from tilecert.intpoly import IntPoly, cyclotomic, divides_cyclotomic
 from tilecert import tileset
 from tilecert.tileset import IntSet, char_poly, cyclotomic_divisor_indices
 
@@ -179,7 +180,7 @@ def test_mann_candidates_on_signed_polynomials_with_zero_constant_term():
         if trial % 2:
             n = rng.randint(2, 60)
             exps = rng.sample(range(0, 60), rng.randint(1, 3))
-            cofactor = IntPoly.zero()
+            cofactor = IntPoly()
             for e in exps:
                 cofactor = cofactor + IntPoly([0] * e + [rng.choice((-3, -2, -1, 1, 2))])
             if cofactor.is_zero():

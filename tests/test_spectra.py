@@ -175,9 +175,10 @@ def test_oversized_root_grid_fails_verification():
 
 
 def test_search_poly_trivial_target():
-    assert spectrum_search_poly(IntPoly([1, 1]), 0).thetas == ()
+    # the target size is p(1) - 1: 0 for the constant 1, -1 for zero
+    assert spectrum_search_poly(IntPoly([1])).thetas == ()
     with pytest.raises(ValueError):
-        spectrum_search_poly(IntPoly([1, 1]), -1)
+        spectrum_search_poly(IntPoly())
 
 
 def test_search_is_deterministic():
