@@ -11,7 +11,6 @@ violation witnesses.
 from .intpoly import (
     IntPoly,
     cyclotomic,
-    cyclotomic_at_one,
     divides_cyclotomic,
 )
 from .tileset import (
@@ -80,7 +79,6 @@ __all__ = [
     "classify_prime_power_cyclotomic",
     "construct_spectrum",
     "cyclotomic",
-    "cyclotomic_at_one",
     "cyclotomic_divisors",
     "divides_cyclotomic",
     "divisors_of_poly",

@@ -19,7 +19,7 @@ import math
 from collections.abc import Iterable
 from functools import lru_cache
 
-from .arith import euler_phi, factorize, prime_power
+from .arith import euler_phi, factorize
 from .values import frozen
 
 
@@ -61,15 +61,6 @@ class IntPoly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(out)
 
     def __mul__(self, other: "IntPoly") -> "IntPoly":
         a, b = self.coeffs, other.coeffs
@@ -180,19 +171,6 @@ def cyclotomic(s: int) -> IntPoly:
     spread = [0] * (stride * (len(coeffs) - 1) + 1)
     spread[::stride] = coeffs
     return IntPoly(spread)
-
-
-def cyclotomic_at_one(s: int) -> int:
-    """Value of the s-th cyclotomic polynomial at 1, from the factorization of s.
-
-    0 for s = 1, p when s is a power of the prime p, and 1 otherwise.
-    """
-    if s < 1:
-        raise ValueError("cyclotomic index must be >= 1")
-    if s == 1:
-        return 0
-    pp = prime_power(s)
-    return pp[0] if pp else 1
 
 
 def divides_cyclotomic(p: IntPoly, s: int) -> bool:

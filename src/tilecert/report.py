@@ -14,7 +14,7 @@ from fractions import Fraction
 from .analysis import classify_prime_power_cyclotomic
 from .spectra import RationalSpectrum, construct_spectrum
 from .tileset import IntSet, check_t1, check_t2, cyclotomic_divisors
-from .tiler import PeriodCapExceeded, TilingCertificate, find_tiling, granville_bound
+from .tiler import PeriodCapExceeded, TilingCertificate, check_period_cap, find_tiling, granville_bound
 from .products import (
     ProductSpec,
     keller_violation_witness,
@@ -100,8 +100,10 @@ def product_report(spec: ProductSpec, cap: int | None = None) -> dict:
 
     Tower labelling is reported 1-based.  The set-level results (tiling,
     conditions, spectrum) are only meaningful when the expanded product
-    has 0/1 coefficients, and stay null otherwise.
+    has 0/1 coefficients, and stay null otherwise.  A cap below 1 is a
+    ValueError for every spec.
     """
+    check_period_cap(cap)
     pset = product_set(spec)
     tower = tower_condition(spec)
     witness = None if tower is not None else keller_violation_witness(spec)

@@ -24,7 +24,6 @@ import itertools
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
-from .arith import prime_power
 from .intpoly import IntPoly, divides_cyclotomic
 from .tileset import (
     CertificateError,
@@ -142,12 +141,8 @@ def construct_spectrum(a: IntSet) -> RationalSpectrum | None:
     """
     if not (check_t1(a) and check_t2(a)):
         return None
-    powers = cyclotomic_divisors(a).prime_powers
-    ranges = []
-    for s in powers:
-        pp = prime_power(s)
-        assert pp is not None
-        ranges.append([Fraction(k, s) for k in range(pp[0])])
+    inv = cyclotomic_divisors(a)
+    ranges = [[Fraction(k, s) for k in range(p)] for p, group in inv.by_prime for s in group]
     sums = {Fraction(0)}
     for combo in itertools.product(*ranges):
         sums.add(sum(combo, Fraction(0)) % 1)

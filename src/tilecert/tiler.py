@@ -151,6 +151,12 @@ def search_periods(a: IntSet, periods: Iterable[int]) -> TilingCertificate | Non
     return None
 
 
+def check_period_cap(cap: int | None) -> None:
+    """Raise ValueError for a period cap below 1; None means no cap."""
+    if cap is not None and cap < 1:
+        raise ValueError(f"period cap must be at least 1, got {cap}")
+
+
 def find_tiling(a: IntSet, cap: int | None = None) -> TilingCertificate | None:
     """Search the divisors of the Granville bound L in increasing order.
 
@@ -159,8 +165,7 @@ def find_tiling(a: IntSet, cap: int | None = None) -> TilingCertificate | None:
     With ``cap`` set, raises PeriodCapExceeded instead of searching when
     L > cap; a cap below 1 is a ValueError.
     """
-    if cap is not None and cap < 1:
-        raise ValueError(f"period cap must be at least 1, got {cap}")
+    check_period_cap(cap)
     bound = granville_bound(a)
     if cap is not None and bound > cap:
         raise PeriodCapExceeded(bound, cap)

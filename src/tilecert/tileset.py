@@ -20,6 +20,7 @@ translating the set, so predicates normalize the minimum to 0 first.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterable
 from functools import lru_cache
 from operator import index
@@ -33,7 +34,7 @@ from .arith import (
     root_of_unity_mod_prime,
     totient_at_most,
 )
-from .intpoly import IntPoly, cyclotomic_at_one, divides_cyclotomic
+from .intpoly import IntPoly, divides_cyclotomic
 from .values import frozen
 
 
@@ -88,16 +89,31 @@ class CertificateError(RuntimeError):
 
 @frozen
 class CycloDivisors:
-    """Cyclotomic divisor inventory of a characteristic polynomial.
+    """Cyclotomic divisor inventory of a polynomial, built from its indices.
 
     ``indices`` holds every s >= 2 whose cyclotomic polynomial divides
-    the polynomial; ``prime_powers`` is the subset of prime powers and
-    ``by_prime`` groups those by prime.
+    the polynomial, given ascending; ``prime_powers`` is the subset of
+    prime powers, and ``by_prime`` groups those as ``(p, (p**a, ...))``
+    pairs in increasing p.  The indices are factored here and only here:
+    (T1), (T2) and the spectrum formula all read ``by_prime``.
     """
 
     indices: tuple[int, ...]
     prime_powers: tuple[int, ...]
-    by_prime: dict[int, tuple[int, ...]]
+    by_prime: tuple[tuple[int, tuple[int, ...]], ...]
+
+    def __init__(self, indices: Iterable[int]):
+        indices = tuple(indices)
+        powers = []
+        groups: dict[int, list[int]] = {}
+        for s in indices:
+            pp = prime_power(s)
+            if pp is not None:
+                powers.append(s)
+                groups.setdefault(pp[0], []).append(s)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "prime_powers", tuple(powers))
+        object.__setattr__(self, "by_prime", tuple((q, tuple(g)) for q, g in sorted(groups.items())))
 
 
 def char_poly(a: IntSet) -> IntPoly:
@@ -120,7 +136,7 @@ def _mann_divisors(a: int, k: int, bound: int) -> tuple[int, ...]:
 def _candidate_indices(exps: list[int]) -> Iterable[int]:
     """A complete ascending list of the s that can index a divisor, from the exponents.
 
-    See ``cyclotomic_divisor_indices`` for why it is complete.
+    See ``divisors_of_poly`` for why it is complete.
     """
     k, low = len(exps), exps[0]
     span = exps[-1] - low
@@ -132,8 +148,8 @@ def _candidate_indices(exps: list[int]) -> Iterable[int]:
     return sorted(found)
 
 
-def cyclotomic_divisor_indices(p: IntPoly) -> list[int]:
-    """All s >= 2 whose cyclotomic polynomial divides the nonzero polynomial p, ascending.
+def divisors_of_poly(p: IntPoly) -> CycloDivisors:
+    """Inventory of the nonzero polynomial p: each s >= 2 whose cyclotomic polynomial divides p.
 
     Let p have k nonzero terms, the lowest at x**e.  Dividing by x**e
     moves no root of unity, so a divisor of index s has degree
@@ -195,42 +211,22 @@ def cyclotomic_divisor_indices(p: IntPoly) -> list[int]:
             value += c * x
         if value % q == 0 and divides_cyclotomic(p, s):
             found.append(s)
-    return found
+    return CycloDivisors(found)
 
 
-def divisors_of_poly(p: IntPoly) -> CycloDivisors:
-    """Cyclotomic divisor inventory of an arbitrary nonzero polynomial."""
-    indices = cyclotomic_divisor_indices(p)
-    powers = []
-    by_prime: dict[int, list[int]] = {}
-    for s in indices:
-        pp = prime_power(s)
-        if pp is not None:
-            powers.append(s)
-            by_prime.setdefault(pp[0], []).append(s)
-    return CycloDivisors(
-        indices=tuple(indices),
-        prime_powers=tuple(powers),
-        by_prime={q: tuple(v) for q, v in sorted(by_prime.items())},
-    )
-
-
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=1)
 def cyclotomic_divisors(a: IntSet) -> CycloDivisors:
     """Cyclotomic divisor inventory of the set's characteristic polynomial.
 
-    Memoized: the tiling, condition, and spectrum pipelines all consult
-    the same inventory for the same set.
+    Memoized for the one set under analysis: its stages consult its
+    inventory in turn, and no pipeline comes back to a set it has left.
     """
     return divisors_of_poly(char_poly(a.normalized()))
 
 
 def check_t1(a: IntSet) -> bool:
-    """Condition (T1): #A equals the product of primes over the prime-power inventory."""
-    product = 1
-    for s in cyclotomic_divisors(a).prime_powers:
-        product *= cyclotomic_at_one(s)
-    return product == a.size
+    """Condition (T1): #A is the product of Phi_s(1) = p over inventory prime powers s = p**a."""
+    return math.prod(p ** len(g) for p, g in cyclotomic_divisors(a).by_prime) == a.size
 
 
 def check_t2(a: IntSet) -> bool:
@@ -245,13 +241,10 @@ def check_t2(a: IntSet) -> bool:
     """
     inv = cyclotomic_divisors(a)
     indices = set(inv.indices)
-    prime_groups = list(inv.by_prime.values())
+    prime_groups = [g for _, g in inv.by_prime]
     for k in range(2, len(prime_groups) + 1):
         for groups in itertools.combinations(prime_groups, k):
             for combo in itertools.product(*groups):
-                q = 1
-                for s in combo:
-                    q *= s
-                if q not in indices:
+                if math.prod(combo) not in indices:
                     return False
     return True

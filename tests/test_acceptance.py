@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from lattice import echelon, in_lattice, w_basis
-from oracles import ramanujan_sum, x_pow_minus_one
+from oracles import cyclotomic_at_one, ramanujan_sum, x_pow_minus_one
 from tilecert.arith import divisors, euler_phi
 from tilecert.analysis import classify_prime_power_cyclotomic, power_sums
 from tilecert.families import (
@@ -24,7 +24,7 @@ from tilecert.families import (
     three_factor_specs,
     two_factor_specs,
 )
-from tilecert.intpoly import IntPoly, cyclotomic, cyclotomic_at_one
+from tilecert.intpoly import IntPoly, cyclotomic
 from tilecert.spectra import RationalSpectrum, verify_spectrum
 from tilecert.tileset import IntSet
 from tilecert.tiler import TilingCertificate, find_tiling, verify_tiling

@@ -20,7 +20,7 @@ import random
 
 import pytest
 
-from oracles import x_pow_minus_one
+from oracles import poly_sum, x_pow_minus_one
 from tilecert.arith import (
     divisors,
     divisors_totient_at_most,
@@ -31,7 +31,7 @@ from tilecert.arith import (
 )
 from tilecert.intpoly import IntPoly, cyclotomic, divides_cyclotomic
 from tilecert import tileset
-from tilecert.tileset import IntSet, char_poly, cyclotomic_divisor_indices
+from tilecert.tileset import IntSet, char_poly, divisors_of_poly
 
 _OLD_CYCLOTOMIC: dict[int, IntPoly] = {}
 
@@ -87,7 +87,7 @@ def test_inventory_matches_quadratic_scan_on_random_polynomials():
                 if p.degree() + factor.degree() > 60:
                     break
                 p = p * factor
-        assert cyclotomic_divisor_indices(p) == old_divisor_indices(p), p
+        assert list(divisors_of_poly(p).indices) == old_divisor_indices(p), p
 
 
 def unfiltered_divisor_indices(p: IntPoly) -> list[int]:
@@ -115,7 +115,7 @@ def test_filter_false_positive_is_decided_by_division():
     p = IntPoly([-w * w % q, 0, 1])
     assert p(w) % q == 0
     assert not divides_cyclotomic(p, 3)
-    assert 3 not in cyclotomic_divisor_indices(p)
+    assert 3 not in divisors_of_poly(p).indices
 
 
 def test_inventory_matches_unfiltered_scan_on_seeded_sets():
@@ -123,7 +123,7 @@ def test_inventory_matches_unfiltered_scan_on_seeded_sets():
     for deg in (50, 150, 300):
         elems = {0, deg} | {x for x in range(1, deg) if rng.random() < 0.3}
         p = char_poly(IntSet(elems))
-        assert cyclotomic_divisor_indices(p) == unfiltered_divisor_indices(p), deg
+        assert list(divisors_of_poly(p).indices) == unfiltered_divisor_indices(p), deg
 
 
 def test_inventory_of_initial_segments():
@@ -132,9 +132,9 @@ def test_inventory_of_initial_segments():
     # scan runs on a few n only, to keep the suite fast.
     for n in range(2, 129):
         p = char_poly(IntSet(range(n)))
-        assert cyclotomic_divisor_indices(p) == divisors(n)[1:], n
+        assert list(divisors_of_poly(p).indices) == divisors(n)[1:], n
         if n in (60, 128):
-            assert cyclotomic_divisor_indices(p) == unfiltered_divisor_indices(p), n
+            assert list(divisors_of_poly(p).indices) == unfiltered_divisor_indices(p), n
 
 
 def totient_scan_divisor_indices(p: IntPoly) -> list[int]:
@@ -161,7 +161,7 @@ def test_mann_candidates_match_totient_scan_on_seeded_sets():
     nonempty = 0
     for trial in range(600):
         p = char_poly(random_set(rng))
-        found = cyclotomic_divisor_indices(p)
+        found = list(divisors_of_poly(p).indices)
         assert found == totient_scan_divisor_indices(p), p
         if trial % 10 == 0:
             assert found == unfiltered_divisor_indices(p), p
@@ -182,7 +182,7 @@ def test_mann_candidates_on_signed_polynomials_with_zero_constant_term():
             exps = rng.sample(range(0, 60), rng.randint(1, 3))
             cofactor = IntPoly()
             for e in exps:
-                cofactor = cofactor + IntPoly([0] * e + [rng.choice((-3, -2, -1, 1, 2))])
+                cofactor = poly_sum(cofactor, IntPoly([0] * e + [rng.choice((-3, -2, -1, 1, 2))]))
             if cofactor.is_zero():
                 continue
             p = cofactor * x_pow_minus_one(n)
@@ -191,7 +191,7 @@ def test_mann_candidates_on_signed_polynomials_with_zero_constant_term():
             for _ in range(rng.randint(0, 3)):
                 p = p * cyclotomic(rng.randint(2, 30))
         p = IntPoly([0] * rng.randint(1, 20) + list(p.coeffs))
-        found = cyclotomic_divisor_indices(p)
+        found = list(divisors_of_poly(p).indices)
         assert found == unfiltered_divisor_indices(p), p
         nonempty += bool(found)
     assert nonempty >= 150
@@ -207,7 +207,7 @@ GATE_SETS = [
 def test_inventory_of_gate_sets_matches_unfiltered_scan(elements):
     # char_poly keeps the offset, so {3,7,10,14} has a zero constant term
     p = char_poly(IntSet(elements))
-    assert cyclotomic_divisor_indices(p) == unfiltered_divisor_indices(p)
+    assert list(divisors_of_poly(p).indices) == unfiltered_divisor_indices(p)
 
 
 def test_inventory_of_sparse_set_of_degree_1200():
@@ -215,7 +215,7 @@ def test_inventory_of_sparse_set_of_degree_1200():
     # |z| = 1 makes 1, z, z**1200 the three cube roots of unity, so z has
     # order 3 and 1200 = 2 (mod 3), which is false: the inventory is empty.
     p = char_poly(IntSet((0, 1, 1200)))
-    assert cyclotomic_divisor_indices(p) == totient_scan_divisor_indices(p) == []
+    assert list(divisors_of_poly(p).indices) == totient_scan_divisor_indices(p) == []
 
 
 @pytest.mark.parametrize("poly, candidates", [
@@ -236,7 +236,7 @@ def test_candidate_counts(monkeypatch, poly, candidates):
         return root_of_unity_mod_prime(s)
 
     monkeypatch.setattr(tileset, "root_of_unity_mod_prime", recorder)
-    found = cyclotomic_divisor_indices(poly)
+    found = list(divisors_of_poly(poly).indices)
     assert len(seen) == candidates
     assert seen == sorted(set(seen))
     if poly.nonzero_terms() == 1:

@@ -88,11 +88,13 @@ def test_unverified_tiling_raises(monkeypatch):
 
 
 def test_reports_reject_period_cap_below_one():
-    spec = ProductSpec.parse("1:2,2:2")  # 0/1, so the set report runs
+    # 1:2,2:2 is 0/1, so its set report runs; 2:2,2:2 is not and has none
+    specs = [ProductSpec.parse("1:2,2:2"), ProductSpec.parse("2:2,2:2")]
     for cap in (0, -5):
         with pytest.raises(ValueError):
             analyze_set(IntSet([0, 1]), cap=cap)
         with pytest.raises(ValueError):
             tiling_report(IntSet([0, 1, 8, 9]), cap=cap)
-        with pytest.raises(ValueError):
-            product_report(spec, cap=cap)
+        for spec in specs:
+            with pytest.raises(ValueError):
+                product_report(spec, cap=cap)

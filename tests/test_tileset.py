@@ -4,8 +4,10 @@ import random
 
 import pytest
 
-from tilecert.families import subsets
+from tilecert import tileset
+from tilecert.families import run_batch, subsets
 from tilecert.intpoly import IntPoly, cyclotomic, divides_cyclotomic
+from tilecert.report import analyze_set
 from tilecert.tileset import (
     IntSet,
     char_poly,
@@ -62,7 +64,7 @@ def test_cyclotomic_divisors_examples():
     inv = cyclotomic_divisors(IntSet([0, 1, 2, 3]))
     assert inv.indices == (2, 4)
     assert inv.prime_powers == (2, 4)
-    assert inv.by_prime == {2: (2, 4)}
+    assert inv.by_prime == ((2, (2, 4)),)
 
     assert cyclotomic_divisors(IntSet([0, 1, 3])).indices == ()
 
@@ -116,7 +118,7 @@ def test_t2_matches_division_based_definition():
     # (T2) reads the inventory; the definition divides by each cross-prime product.
     def t2_by_division(a):
         poly = char_poly(a.normalized())
-        groups = list(cyclotomic_divisors(a).by_prime.values())
+        groups = [g for _, g in cyclotomic_divisors(a).by_prime]
         return all(
             divides_cyclotomic(poly, math.prod(combo))
             for k in range(2, len(groups) + 1)
@@ -132,6 +134,18 @@ def test_t2_matches_division_based_definition():
         assert holds == t2_by_division(a), a
         failures += not holds
     assert failures > 0
+
+
+def test_t1_matches_definition_by_values_at_one():
+    # (T1) reads p ** len(group) off the prime groups; the definition
+    # multiplies the values at 1 of the prime-power cyclotomic polynomials.
+    outcomes = set()
+    for a in subsets(12, 6):
+        powers = cyclotomic_divisors(a).prime_powers
+        holds = check_t1(a)
+        assert holds == (math.prod(cyclotomic(s)(1) for s in powers) == a.size), a
+        outcomes.add(holds)
+    assert outcomes == {False, True}
 
 
 def test_divisor_indices_respect_degree_bound():
@@ -155,3 +169,24 @@ def test_translation_invariance():
         assert cyclotomic_divisors(base) == cyclotomic_divisors(moved)
         assert check_t1(base) == check_t1(moved)
         assert check_t2(base) == check_t2(moved)
+
+
+def test_one_inventory_per_set_and_only_one_kept(monkeypatch):
+    # every stage reads the memo, so a set costs one scan, and the memo
+    # keeps the set under analysis only
+    cyclotomic_divisors.cache_clear()
+    calls = []
+    scan = tileset.divisors_of_poly
+
+    def counted(p):
+        calls.append(p)
+        return scan(p)
+
+    monkeypatch.setattr(tileset, "divisors_of_poly", counted)
+    analyze_set(IntSet([0, 1, 8, 9]))
+    assert len(calls) == 1
+    sets = list(subsets(8, 4))
+    calls.clear()
+    run_batch("subsets", sets, "granville-period")
+    assert len(calls) == len(sets)
+    assert cyclotomic_divisors.cache_info().currsize == 1

@@ -27,7 +27,7 @@ SAMPLES = {
     ),
     "CycloDivisors": (
         lambda: divisors_of_poly(char_poly(IntSet([0, 1, 8, 9]))),
-        "CycloDivisors(indices=(2, 16), prime_powers=(2, 16), by_prime={2: (2, 16)})",
+        "CycloDivisors(indices=(2, 16), prime_powers=(2, 16), by_prime=((2, (2, 16)),))",
     ),
     "TilingCertificate": (
         lambda: TilingCertificate(16, [0, 2, 4, 6]),
@@ -42,9 +42,6 @@ SAMPLES = {
         "ProductSpec(factors=((1, 2), (3, 2)))",
     ),
 }
-
-# the classes that take the __init__ frozen generates
-GENERATED_INIT = ["CycloDivisors"]
 
 each_class = pytest.mark.parametrize("name", sorted(SAMPLES))
 
@@ -68,8 +65,13 @@ def test_equality_by_fields(name):
     assert a is not b and a == b and not a != b
     for field in _fields(a):
         assert a != _with(a, **{field: object()}), field
-    twin_cls = frozen(type(name, (), {"__annotations__": dict(type(a).__annotations__)}))
-    twin = twin_cls(**{field: getattr(a, field) for field in _fields(a)})
+
+    def copy_fields(self, source):
+        for field in _fields(source):
+            object.__setattr__(self, field, getattr(source, field))
+
+    namespace = {"__annotations__": dict(type(a).__annotations__), "__init__": copy_fields}
+    twin = frozen(type(name, (), namespace))(a)
     assert a != twin and twin != a
     assert a != getattr(a, _fields(a)[0])
 
@@ -77,13 +79,8 @@ def test_equality_by_fields(name):
 @each_class
 def test_equal_objects_hash_equal(name):
     a, b = SAMPLES[name][0](), SAMPLES[name][0]()
-    if name == "CycloDivisors":
-        # by_prime is a dict, so the inventory is unhashable, as it always was
-        with pytest.raises(TypeError):
-            hash(a)
-    else:
-        assert hash(a) == hash(b)
-        assert {a: 1}[b] == 1
+    assert hash(a) == hash(b)
+    assert {a: 1}[b] == 1
 
 
 @each_class
@@ -114,22 +111,9 @@ def test_repr_text(name):
     assert repr(a) == text
 
 
-@pytest.mark.parametrize("name", GENERATED_INIT)
-def test_generated_init_takes_fields_by_position_or_keyword(name):
-    a = SAMPLES[name][0]()
-    cls, names = type(a), _fields(a)
-    values = [getattr(a, field) for field in names]
-    assert cls(*values) == a
-    assert cls(**dict(zip(names, values))) == a
-    assert cls(*values[:1], **dict(zip(names[1:], values[1:]))) == a
+def test_frozen_requires_an_init_of_its_own():
     with pytest.raises(TypeError):
-        cls(*values, None)
-    with pytest.raises(TypeError):
-        cls(*values[:1], **dict(zip(names, values)))
-    with pytest.raises(TypeError):
-        cls(**dict(zip(names[1:], values[1:])))
-    with pytest.raises(TypeError):
-        cls(*values, extra=None)
+        frozen(type("NoInit", (), {"__annotations__": {"x": int}}))
 
 
 def test_constructors_reject_non_integers():
