@@ -36,7 +36,6 @@ from .spectra import (
     RationalSpectrum,
     construct_spectrum,
     is_root_of,
-    max_spectrum_size,
     spectrum_search,
     spectrum_search_poly,
     verify_spectrum,
@@ -45,13 +44,11 @@ from .spectra import (
 from .products import (
     ProductSpec,
     check_keller_violation,
-    factor_poly,
     is_zero_one,
     keller_violation_witness,
     product_poly,
     product_set,
     tower_condition,
-    two_factor_condition,
 )
 from .analysis import (
     classify_prime_power_cyclotomic,
@@ -82,13 +79,11 @@ __all__ = [
     "cyclotomic_divisors",
     "divides_cyclotomic",
     "divisors_of_poly",
-    "factor_poly",
     "find_tiling",
     "granville_bound",
     "is_root_of",
     "is_zero_one",
     "keller_violation_witness",
-    "max_spectrum_size",
     "power_sums",
     "product_poly",
     "product_report",
@@ -98,7 +93,6 @@ __all__ = [
     "spectrum_search_poly",
     "tiling_report",
     "tower_condition",
-    "two_factor_condition",
     "verify_spectrum",
     "verify_spectrum_poly",
     "verify_tiling",

@@ -25,7 +25,7 @@ from .report import (
     product_report,
     tiling_report,
 )
-from .spectra import construct_spectrum, parse_thetas, spectrum_search, verify_spectrum_poly
+from .spectra import construct_spectrum, parse_thetas, spectrum_search, verify_spectrum
 from .tileset import IntSet, char_poly
 from .products import ProductSpec
 
@@ -197,7 +197,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                 raise ValueError("spectrum verify needs --theta")
             thetas = [t % 1 for t in parse_thetas(args.theta)]
             payload["thetas"] = [format_fraction(t) for t in thetas]
-            payload["root_conditions"] = verify_spectrum_poly(char_poly(a.normalized()), thetas)
+            payload["root_conditions"] = verify_spectrum(a, thetas)
             payload["size_ok"] = len(thetas) == a.size - 1
             payload["verified"] = payload["root_conditions"] and payload["size_ok"]
         _emit(payload, args.human)

@@ -1,5 +1,12 @@
 """Exact integer polynomial arithmetic and cyclotomic polynomials.
 
+The library multiplies and divides polynomials only by binomials
+x**d - 1, one linear pass each (``times_binomial``, ``over_binomial``):
+the cyclotomic polynomials and the products of progression polynomials
+are built from them, and long division (``IntPoly.divrem``) by a monic
+cyclotomic polynomial decides divisibility.  There is no general
+multiplication.
+
 A polynomial is stored as a dense tuple of integer coefficients indexed
 by exponent: ``IntPoly([1, 0, 1])`` is 1 + x**2.  The canonical form has
 no trailing zero coefficient and the zero polynomial is the empty tuple,
@@ -35,10 +42,6 @@ class IntPoly:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    @classmethod
-    def one(cls) -> "IntPoly":
-        return cls((1,))
-
     def degree(self) -> int | None:
         """Degree, or None for the zero polynomial."""
         return len(self.coeffs) - 1 if self.coeffs else None
@@ -49,29 +52,12 @@ class IntPoly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def nonzero_terms(self) -> int:
-        return sum(1 for c in self.coeffs if c)
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
     def __call__(self, x: int) -> int:
         """Evaluate at an integer point (Horner)."""
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def __mul__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPoly(())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, c in enumerate(a):
-            if c:
-                for j, d in enumerate(b):
-                    out[i + j] += c * d
-        return IntPoly(out)
 
     def divrem(self, divisor: "IntPoly") -> tuple["IntPoly", "IntPoly"]:
         """Long division by a monic divisor: self = divisor*quot + rem.
@@ -117,14 +103,14 @@ class IntPoly:
         return f"IntPoly('{self}')"
 
 
-def _times_binomial(coeffs: list[int], d: int) -> list[int]:
+def times_binomial(coeffs: list[int], d: int) -> list[int]:
     """Coefficients of the product with x**d - 1: one pass, no general multiply."""
     shifted = [0] * d + coeffs
     negated = [-c for c in coeffs] + [0] * d
     return [u + v for u, v in zip(shifted, negated)]
 
 
-def _over_binomial(coeffs: list[int], d: int) -> list[int]:
+def over_binomial(coeffs: list[int], d: int) -> list[int]:
     """Coefficients of the exact quotient by x**d - 1: one pass, no general divrem.
 
     Raises ArithmeticError when x**d - 1 does not divide, so the check
@@ -163,10 +149,10 @@ def cyclotomic(s: int) -> IntPoly:
     coeffs = [1]
     for d, mu in terms:
         if mu > 0:
-            coeffs = _times_binomial(coeffs, d)
+            coeffs = times_binomial(coeffs, d)
     for d, mu in terms:
         if mu < 0:
-            coeffs = _over_binomial(coeffs, d)
+            coeffs = over_binomial(coeffs, d)
     stride = s // math.prod(primes)
     spread = [0] * (stride * (len(coeffs) - 1) + 1)
     spread[::stride] = coeffs
@@ -189,7 +175,9 @@ def divides_cyclotomic(p: IntPoly, s: int) -> bool:
         raise ValueError("dividend must be nonzero")
     deg = p.degree()
     assert deg is not None
-    if euler_phi(s) > deg:
+    # phi(s) >= sqrt(s/2), so beyond 2*deg**2 the degree rules s out
+    # without factoring s, which by trial division can take forever
+    if s > 2 * deg * deg or euler_phi(s) > deg:
         return False
     if deg >= s:
         coeffs = p.coeffs

@@ -6,6 +6,10 @@ A product spec is a list of pairs (m_i, n_i), each describing the factor
       = (x**(m_i*n_i) - 1) / (x**m_i - 1),
 
 the characteristic polynomial of the progression {0, m_i, ..., (n_i-1)*m_i}.
+The product is expanded from the right-hand side: each factor is one
+pass multiplying by x**(m_i*n_i) - 1 and one pass dividing exactly by
+x**m_i - 1, so no general polynomial multiplication is needed.
+
 Whether the expanded product tiles the integers is decided by the tower
 condition: some ordering of the factors satisfies, for every position k,
 
@@ -18,7 +22,9 @@ ordering valid, so a valid head of a set that has a valid ordering
 starts one, and a set with no valid head has none; the peel therefore
 removes every factor exactly when the tower holds.  A valid ordering
 starts with a valid head, so taking the smallest one at each step gives
-the lexicographically first valid ordering.
+the lexicographically first valid ordering.  For two factors the tower
+is the divisibility condition n_1 | m_2/d or n_2 | m_1/d with
+d = gcd(m_1, m_2), which the report prints as ``two_factor_condition``.
 
 When the tower condition fails for every ordering, a witness vector can
 be extracted that violates Keller's cube-tiling property for the lattice
@@ -33,7 +39,7 @@ import math
 from collections.abc import Iterable, Sequence
 from operator import index
 
-from .intpoly import IntPoly
+from .intpoly import IntPoly, over_binomial, times_binomial
 from .tileset import CertificateError, IntSet
 from .values import frozen
 
@@ -91,20 +97,12 @@ class ProductSpec:
         return ",".join(f"{m}:{n}" for m, n in self.factors)
 
 
-def factor_poly(m: int, n: int) -> IntPoly:
-    """The progression polynomial 1 + x**m + ... + x**((n-1)*m)."""
-    coeffs = [0] * (m * (n - 1) + 1)
-    for k in range(n):
-        coeffs[k * m] = 1
-    return IntPoly(coeffs)
-
-
 def product_poly(spec: ProductSpec) -> IntPoly:
-    """Exact expanded product of all factors."""
-    out = IntPoly.one()
+    """Exact expanded product of all factors (x**(m*n) - 1) / (x**m - 1)."""
+    coeffs = [1]
     for m, n in spec.factors:
-        out = out * factor_poly(m, n)
-    return out
+        coeffs = over_binomial(times_binomial(coeffs, m * n), m)
+    return IntPoly(coeffs)
 
 
 def is_zero_one(p: IntPoly) -> bool:
@@ -154,15 +152,6 @@ def tower_condition(spec: ProductSpec) -> tuple[int, ...] | None:
     """
     order, rest, _ = _peel(spec)
     return None if rest else tuple(order)
-
-
-def two_factor_condition(spec: ProductSpec) -> bool:
-    """For exactly two factors: n_1 | m_2/d or n_2 | m_1/d, with d = gcd(m_1, m_2)."""
-    if len(spec) != 2:
-        raise ValueError("two-factor condition needs exactly two factors")
-    (m1, n1), (m2, n2) = spec.factors
-    d = math.gcd(m1, m2)
-    return (m2 // d) % n1 == 0 or (m1 // d) % n2 == 0
 
 
 def _pair_vector(spec: ProductSpec, i: int, j: int) -> list[int]:

@@ -20,7 +20,6 @@ from .products import (
     keller_violation_witness,
     product_set,
     tower_condition,
-    two_factor_condition,
 )
 
 
@@ -98,9 +97,10 @@ def tiling_report(a: IntSet, cap: int | None = None) -> dict:
 def product_report(spec: ProductSpec, cap: int | None = None) -> dict:
     """Full view of a product spec.
 
-    Tower labelling is reported 1-based.  The set-level results (tiling,
-    conditions, spectrum) are only meaningful when the expanded product
-    has 0/1 coefficients, and stay null otherwise.  A cap below 1 is a
+    Tower labelling is reported 1-based; for two factors the tower is
+    the two-factor condition, printed as such.  The set-level results
+    (tiling, conditions, spectrum) are only meaningful when the expanded
+    product has 0/1 coefficients, and stay null otherwise.  A cap below 1 is a
     ValueError for every spec.
     """
     check_period_cap(cap)
@@ -111,9 +111,7 @@ def product_report(spec: ProductSpec, cap: int | None = None) -> dict:
         "factors": [{"step": m, "length": n} for m, n in spec.factors],
         "zero_one": pset is not None,
         "tower_order": None if tower is None else [i + 1 for i in tower],
-        "two_factor_condition": (
-            two_factor_condition(spec) if len(spec) == 2 else None
-        ),
+        "two_factor_condition": tower is not None if len(spec) == 2 else None,
         "keller_witness": None if witness is None else list(witness),
         "set_report": None,
     }

@@ -15,7 +15,10 @@ refutation of spectrality in general.
 
 Two producers exist: ``construct_spectrum`` applies the explicit formula
 available under the Coven-Meyerowitz conditions, and ``spectrum_search``
-runs a complete clique search over all candidate fractions.
+runs a complete clique search over all candidate fractions.  Both, and
+``tilecert spectrum verify``, check a spectrum with ``verify_spectrum``,
+which decides each root condition, the difference 0 included, by one
+cyclotomic divisibility test.
 """
 
 from __future__ import annotations
@@ -62,12 +65,19 @@ class RationalSpectrum:
 
 
 def parse_thetas(text: str) -> list[Fraction]:
-    """Parse a comma-separated fraction list such as "1/2,1/4,3/4"."""
+    """Parse a comma-separated fraction list such as "1/2,1/4,3/4".
+
+    Each value is p/q, an integer or a plain decimal.  Exponent notation
+    is refused: ``Fraction("1e30000000")`` builds a 30-million-digit
+    integer before anything could check it.
+    """
     out = []
     for tok in text.split(","):
         tok = tok.strip()
         if not tok:
             continue
+        if "e" in tok.lower():
+            raise ValueError(f"bad fraction {tok!r}")
         try:
             out.append(Fraction(tok))
         except (ValueError, ZeroDivisionError) as exc:
@@ -75,24 +85,14 @@ def parse_thetas(text: str) -> list[Fraction]:
     return out
 
 
-def max_spectrum_size(p: IntPoly) -> int:
-    """Upper bound on N for any N-spectrum: the number of nonzero coefficients.
-
-    The exponential vectors attached to spectrum values are mutually
-    orthogonal in a space whose dimension is the number of nonzero
-    coefficients, so no larger spectrum can exist.
-    """
-    if any(c < 0 for c in p.coeffs):
-        raise ValueError("polynomial must have nonnegative coefficients")
-    return p.nonzero_terms()
-
-
 def is_root_of(p: IntPoly, delta: Fraction) -> bool:
-    """True iff exp(2*pi*i*delta) is a root of p, for delta in [0, 1)."""
+    """True iff exp(2*pi*i*delta) is a root of p, for delta in [0, 1).
+
+    delta = 0 has denominator 1, and the first cyclotomic polynomial
+    x - 1 divides p exactly when p(1) = 0.
+    """
     if not 0 <= delta < 1:
         raise ValueError("delta must lie in [0, 1)")
-    if delta == 0:
-        return p(1) == 0
     return divides_cyclotomic(p, delta.denominator)
 
 
@@ -113,8 +113,11 @@ def verify_spectrum_poly(p: IntPoly, thetas: Sequence[Fraction]) -> bool:
     return True
 
 
-def verify_spectrum(a: IntSet, spectrum: RationalSpectrum) -> bool:
-    """Check a spectrum against the set's characteristic polynomial.
+def verify_spectrum(a: IntSet, thetas: Sequence[Fraction]) -> bool:
+    """Check spectrum values against the set's characteristic polynomial.
+
+    ``thetas`` is any sequence of fractions; as in ``verify_spectrum_poly``,
+    they are reduced mod 1 and a repeated value fails.
 
     The set is normalized first: a shift multiplies the polynomial by a
     power of x, which moves no root on the unit circle, and the dense
@@ -123,7 +126,7 @@ def verify_spectrum(a: IntSet, spectrum: RationalSpectrum) -> bool:
     folds the polynomial mod x**s - 1 first, so every division has a
     dividend of degree below s whatever the diameter.
     """
-    return verify_spectrum_poly(char_poly(a.normalized()), spectrum.thetas)
+    return verify_spectrum_poly(char_poly(a.normalized()), thetas)
 
 
 def construct_spectrum(a: IntSet) -> RationalSpectrum | None:
@@ -150,7 +153,7 @@ def construct_spectrum(a: IntSet) -> RationalSpectrum | None:
     spectrum = RationalSpectrum(sums)
     if len(spectrum) != a.size - 1:
         raise CertificateError(f"spectrum formula for {a} produced {len(spectrum)} values")
-    if not verify_spectrum(a, spectrum):
+    if not verify_spectrum(a, spectrum.thetas):
         raise CertificateError(f"spectrum formula for {a} failed verification")
     return spectrum
 
@@ -209,8 +212,8 @@ def spectrum_search_poly(p: IntPoly) -> RationalSpectrum | None:
         raise ValueError(f"a spectrum needs p(1) >= 1, got {target + 1}")
     if target == 0:
         return RationalSpectrum(())
-    if target + 1 > max_spectrum_size(p):
-        return None
+    if any(c < 0 for c in p.coeffs):
+        raise ValueError("polynomial must have nonnegative coefficients")
     index_set = set(divisors_of_poly(p).indices)
     candidates = sorted(
         {Fraction(k, s) for s in index_set for k in range(1, s)

@@ -10,6 +10,12 @@ they check Newton's identities in ``tilecert.analysis`` independently.
 
 The value of the s-th cyclotomic polynomial at 1 has a closed form in the
 factorization of s, which (T1) reads off the inventory's prime groups.
+
+The library has no general polynomial multiplication and no separate
+two-factor condition: it expands products through binomial passes and
+decides every tower, two factors included, by one peel.  The dense
+product and the two-factor divisibility condition live here as the
+oracles those are compared with.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import math
 
 from tilecert.arith import divisors, factorize, prime_power
 from tilecert.intpoly import IntPoly
+from tilecert.products import ProductSpec
 
 
 def mobius(n: int) -> int:
@@ -62,3 +69,34 @@ def poly_sum(*polys: IntPoly) -> IntPoly:
         for i, c in enumerate(p.coeffs):
             out[i] += c
     return IntPoly(out)
+
+
+def poly_mul(*polys: IntPoly) -> IntPoly:
+    """The dense product of the polynomials; the empty product is 1."""
+    out = [1]
+    for p in polys:
+        if p.is_zero():
+            return IntPoly()
+        prod = [0] * (len(out) + len(p.coeffs) - 1)
+        for i, c in enumerate(out):
+            if c:
+                for j, d in enumerate(p.coeffs):
+                    prod[i + j] += c * d
+        out = prod
+    return IntPoly(out)
+
+
+def progression_poly(m: int, n: int) -> IntPoly:
+    """The progression polynomial 1 + x**m + ... + x**((n-1)*m)."""
+    coeffs = [0] * (m * (n - 1) + 1)
+    coeffs[::m] = [1] * n
+    return IntPoly(coeffs)
+
+
+def two_factor_condition(spec: ProductSpec) -> bool:
+    """For exactly two factors: n_1 | m_2/d or n_2 | m_1/d, with d = gcd(m_1, m_2)."""
+    if len(spec) != 2:
+        raise ValueError("two-factor condition needs exactly two factors")
+    (m1, n1), (m2, n2) = spec.factors
+    d = math.gcd(m1, m2)
+    return (m2 // d) % n1 == 0 or (m1 // d) % n2 == 0

@@ -93,6 +93,31 @@ def test_spectrum_verify(capsys):
     assert code == 2
 
 
+def test_spectrum_verify_prime_denominator_is_not_factored(capsys, monkeypatch):
+    # 2**89 - 1 is prime, so the totient's trial division would not finish;
+    # phi(s) >= sqrt(s/2) > 1 = deg(1 + x) rules it out first
+    from tilecert import arith
+
+    factored = []
+    original = arith.factorize
+
+    def recorder(n):
+        factored.append(n)
+        return original(n)
+
+    monkeypatch.setattr(arith, "factorize", recorder)
+    arith.euler_phi.cache_clear()
+    payload = run_json(capsys, "spectrum", "verify", "0,1", "--theta", f"1/{2**89 - 1}")
+    assert payload["root_conditions"] is False
+    assert 2**89 - 1 not in factored
+
+
+def test_spectrum_verify_rejects_exponent_notation(capsys):
+    # Fraction("1e30000000") would build a 30-million-digit integer first
+    code, out, err = run_cli(capsys, "spectrum", "verify", "0,1", "--theta", "1e30000000")
+    assert (code, out, err) == (2, "", "error: bad fraction '1e30000000'\n")
+
+
 def test_product_command(capsys):
     payload = run_json(capsys, "product", "1:2,2:2")
     assert payload["tower_order"] == [1, 2]

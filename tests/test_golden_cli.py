@@ -2,7 +2,8 @@
 
 ``golden_cli.json`` holds, for each command, the stdout, stderr and exit
 code of ``cli.main``: every README example, the five subset checks, the
-gate sets, the undecided paths and the input errors.  A change that
+gate sets, the undecided paths and the input errors.  Every command of
+the README's CLI block must be among them.  A change that
 alters any of them must say so and record the file again with
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -20,6 +21,7 @@ import tilecert.cli as cli
 
 GOLDEN_PATH = Path(__file__).with_name("golden_cli.json")
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
+README_PATH = Path(__file__).parent.parent / "README.md"
 
 
 def run(command: str) -> dict:
@@ -33,6 +35,20 @@ def run(command: str) -> dict:
 @pytest.mark.parametrize("entry", GOLDEN, ids=[e["command"] for e in GOLDEN])
 def test_cli_output_matches_recording(entry):
     assert run(entry["command"]) == entry
+
+
+def readme_cli_examples() -> list[str]:
+    """The commands of the README's CLI block, without ``tilecert`` and comments."""
+    section = README_PATH.read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [" ".join(shlex.split(line, comments=True)[1:]) for line in block.splitlines()
+            if line.startswith("tilecert ")]
+
+
+def test_every_readme_example_is_recorded():
+    examples = readme_cli_examples()
+    assert len(examples) == 11
+    assert set(examples) <= {e["command"] for e in GOLDEN}
 
 
 if __name__ == "__main__":

@@ -2,12 +2,14 @@ import random
 
 import pytest
 
-from oracles import cyclotomic_at_one, poly_sum, x_pow_minus_one
+from oracles import cyclotomic_at_one, poly_mul, poly_sum, x_pow_minus_one
 from tilecert.arith import divisors
 from tilecert.intpoly import (
     IntPoly,
     cyclotomic,
     divides_cyclotomic,
+    over_binomial,
+    times_binomial,
 )
 
 # Textbook table, frozen independently of the construction under test.
@@ -37,12 +39,13 @@ def test_canonical_form():
 
 
 def test_mul():
-    assert IntPoly([1, 1]) * IntPoly([1, 0, 1]) == IntPoly([1, 1, 1, 1])
+    # the dense product oracle
+    assert poly_mul(IntPoly([1, 1]), IntPoly([1, 0, 1])) == IntPoly([1, 1, 1, 1])
     p = IntPoly([3, 0, -2, 1])
-    assert p * IntPoly.one() == p
+    assert poly_mul(p, IntPoly([1])) == p == poly_mul(p)
     # product of the two progression factors with steps 1 and 3
-    assert IntPoly([1, 1]) * IntPoly([1, 0, 0, 1]) == IntPoly([1, 1, 0, 1, 1])
-    assert (IntPoly([1, 1]) * IntPoly()).is_zero()
+    assert poly_mul(IntPoly([1, 1]), IntPoly([1, 0, 0, 1])) == IntPoly([1, 1, 0, 1, 1])
+    assert poly_mul(IntPoly([1, 1]), IntPoly()).is_zero()
 
 
 def test_mul_degree_adds():
@@ -50,7 +53,7 @@ def test_mul_degree_adds():
     for _ in range(100):
         p = IntPoly([rng.randint(-4, 4) for _ in range(rng.randint(1, 9))] + [rng.randint(1, 4)])
         q = IntPoly([rng.randint(-4, 4) for _ in range(rng.randint(1, 9))] + [rng.randint(1, 4)])
-        assert (p * q).degree() == p.degree() + q.degree()
+        assert poly_mul(p, q).degree() == p.degree() + q.degree()
 
 
 def test_divrem_exact_factorization():
@@ -63,12 +66,12 @@ def test_divrem_nonzero_remainder():
     # the third cyclotomic does not divide (1 + x)(1 + x^3)
     quot, rem = IntPoly([1, 1, 0, 1, 1]).divrem(IntPoly([1, 1, 1]))
     assert not rem.is_zero()
-    assert poly_sum(quot * IntPoly([1, 1, 1]), rem) == IntPoly([1, 1, 0, 1, 1])
+    assert poly_sum(poly_mul(quot, IntPoly([1, 1, 1])), rem) == IntPoly([1, 1, 0, 1, 1])
 
 
 def test_divrem_unit_divisor():
     p = IntPoly([4, -1, 7])
-    quot, rem = p.divrem(IntPoly.one())
+    quot, rem = p.divrem(IntPoly([1]))
     assert quot == p and rem.is_zero()
 
 
@@ -85,7 +88,7 @@ def test_divrem_roundtrip_random():
         p = IntPoly([rng.randint(-6, 6) for _ in range(rng.randint(0, 14))])
         q = IntPoly([rng.randint(-6, 6) for _ in range(rng.randint(0, 9))] + [1])
         quot, rem = p.divrem(q)
-        assert poly_sum(quot * q, rem) == p
+        assert poly_sum(poly_mul(quot, q), rem) == p
         assert rem.is_zero() or rem.degree() < q.degree()
 
 
@@ -113,9 +116,7 @@ def test_cyclotomic_is_monic_with_totient_degree():
 
 def test_cyclotomic_product_identity():
     for n in range(1, 61):
-        prod = IntPoly.one()
-        for d in divisors(n):
-            prod = prod * cyclotomic(d)
+        prod = poly_mul(*(cyclotomic(d) for d in divisors(n)))
         assert prod == x_pow_minus_one(n), n
 
 
@@ -124,14 +125,22 @@ def test_cyclotomic_105_has_coefficient_minus_two():
 
 
 def test_binomial_quotient_is_exact_or_raises():
-    from tilecert.intpoly import _over_binomial
-
-    assert _over_binomial(list(x_pow_minus_one(6).coeffs), 2) == [1, 0, 1, 0, 1]
+    assert over_binomial(list(x_pow_minus_one(6).coeffs), 2) == [1, 0, 1, 0, 1]
     # an ArithmeticError, not an assert, so the check survives python -O
     with pytest.raises(ArithmeticError):
-        _over_binomial([1, 1, 1], 2)
+        over_binomial([1, 1, 1], 2)
     with pytest.raises(ArithmeticError):
-        _over_binomial([1, 1], 3)
+        over_binomial([1, 1], 3)
+
+
+def test_binomial_passes_match_dense_product():
+    rng = random.Random(5)
+    for _ in range(300):
+        d = rng.randint(1, 12)
+        p = IntPoly([rng.randint(-5, 5) for _ in range(rng.randint(0, 15))] + [rng.randint(1, 5)])
+        times = times_binomial(list(p.coeffs), d)
+        assert IntPoly(times) == poly_mul(p, x_pow_minus_one(d))
+        assert over_binomial(times, d) == list(p.coeffs)
 
 
 def test_cyclotomic_rejects_zero():
@@ -158,7 +167,7 @@ def test_divides_cyclotomic_random_products():
     for _ in range(120):
         s = rng.randint(1, 60)
         p = IntPoly([rng.randint(-3, 3) for _ in range(rng.randint(0, 8))] + [rng.randint(1, 3)])
-        assert divides_cyclotomic(p * cyclotomic(s), s)
+        assert divides_cyclotomic(poly_mul(p, cyclotomic(s)), s)
 
 
 def test_divides_cyclotomic_fold_matches_unfolded_division():
@@ -171,10 +180,10 @@ def test_divides_cyclotomic_fold_matches_unfolded_division():
         deg = rng.randint(0, s - 1) if trial % 3 == 0 else rng.randint(s, 4 * s + 10)
         p = IntPoly([rng.randint(-2, 2) for _ in range(deg)] + [rng.choice((-2, -1, 1, 2))])
         if trial % 2:
-            p = p * cyclotomic(s)
+            p = poly_mul(p, cyclotomic(s))
         if trial % 3 == 2:
             # a multiple of x**s - 1: the fold is zero
-            p = p * x_pow_minus_one(s)
+            p = poly_mul(p, x_pow_minus_one(s))
         unfolded = p.divrem(cyclotomic(s))[1].is_zero()
         assert divides_cyclotomic(p, s) == unfolded, (p, s)
         below += p.degree() < s
@@ -202,6 +211,30 @@ def test_inventory_divides_no_polynomial_of_the_set_degree(monkeypatch):
     report = analyze_set(IntSet((0, 1, 200000)))
     assert report["cyclotomic_divisors"] == [3]
     assert degrees and max(degrees) < 100, degrees
+
+
+def test_divides_cyclotomic_factors_no_index_beyond_twice_the_squared_degree(monkeypatch):
+    # phi(s) >= sqrt(s/2) rules out every s > 2 * deg**2 before euler_phi
+    # factors s by trial division
+    from tilecert import arith
+
+    factored = []
+    original = arith.factorize
+
+    def recorder(n):
+        factored.append(n)
+        return original(n)
+
+    monkeypatch.setattr(arith, "factorize", recorder)
+    arith.euler_phi.cache_clear()
+    for deg in range(1, 6):
+        p = IntPoly([1] * (deg + 1))
+        assert not divides_cyclotomic(p, 2 * deg * deg + 1)
+        divides_cyclotomic(p, 2 * deg * deg)
+    # only at s <= 2 * deg**2 is the totient taken
+    assert factored == [2 * deg * deg for deg in range(1, 6)]
+    # the bound itself, checked against the totient
+    assert all(2 * arith.euler_phi(s) ** 2 >= s for s in range(1, 5000))
 
 
 def test_divides_cyclotomic_rejects_zero_poly():

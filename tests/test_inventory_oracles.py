@@ -20,7 +20,7 @@ import random
 
 import pytest
 
-from oracles import poly_sum, x_pow_minus_one
+from oracles import poly_mul, poly_sum, x_pow_minus_one
 from tilecert.arith import (
     divisors,
     divisors_totient_at_most,
@@ -86,7 +86,7 @@ def test_inventory_matches_quadratic_scan_on_random_polynomials():
                 factor = cyclotomic(rng.randint(2, 40))
                 if p.degree() + factor.degree() > 60:
                     break
-                p = p * factor
+                p = poly_mul(p, factor)
         assert list(divisors_of_poly(p).indices) == old_divisor_indices(p), p
 
 
@@ -185,11 +185,11 @@ def test_mann_candidates_on_signed_polynomials_with_zero_constant_term():
                 cofactor = poly_sum(cofactor, IntPoly([0] * e + [rng.choice((-3, -2, -1, 1, 2))]))
             if cofactor.is_zero():
                 continue
-            p = cofactor * x_pow_minus_one(n)
+            p = poly_mul(cofactor, x_pow_minus_one(n))
         else:
             p = IntPoly([rng.randint(-2, 2) for _ in range(rng.randint(0, 6))] + [rng.randint(1, 2)])
             for _ in range(rng.randint(0, 3)):
-                p = p * cyclotomic(rng.randint(2, 30))
+                p = poly_mul(p, cyclotomic(rng.randint(2, 30)))
         p = IntPoly([0] * rng.randint(1, 20) + list(p.coeffs))
         found = list(divisors_of_poly(p).indices)
         assert found == unfiltered_divisor_indices(p), p
@@ -239,5 +239,5 @@ def test_candidate_counts(monkeypatch, poly, candidates):
     found = list(divisors_of_poly(poly).indices)
     assert len(seen) == candidates
     assert seen == sorted(set(seen))
-    if poly.nonzero_terms() == 1:
+    if sum(1 for c in poly.coeffs if c) == 1:
         assert found == []

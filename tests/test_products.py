@@ -5,20 +5,20 @@ import random
 import pytest
 
 from lattice import echelon, in_lattice, w_basis
+from oracles import poly_mul, progression_poly, two_factor_condition
 from tilecert import products
 from tilecert.intpoly import IntPoly
 from tilecert.tileset import CertificateError, check_t1, check_t2
 from tilecert.tiler import find_tiling
+from tilecert.families import three_factor_specs, two_factor_specs
 from tilecert.products import (
     ProductSpec,
     check_keller_violation,
-    factor_poly,
     is_zero_one,
     keller_violation_witness,
     product_poly,
     product_set,
     tower_condition,
-    two_factor_condition,
 )
 
 
@@ -60,8 +60,23 @@ def test_product_poly_examples():
     assert product_poly(ProductSpec([(1, 2), (3, 2)])) == IntPoly([1, 1, 0, 1, 1])
 
 
-def test_factor_poly_is_progression():
-    assert factor_poly(3, 3) == IntPoly([1, 0, 0, 1, 0, 0, 1])
+def test_single_factor_product_is_progression():
+    assert product_poly(ProductSpec([(3, 3)])) == IntPoly([1, 0, 0, 1, 0, 0, 1])
+    assert progression_poly(3, 3) == IntPoly([1, 0, 0, 1, 0, 0, 1])
+
+
+def test_product_poly_matches_dense_product():
+    # oracle: the dense product of the progression polynomials
+    rng = random.Random(3120)
+    seeded = [
+        ProductSpec((rng.randint(1, 12), rng.randint(2, 5)) for _ in range(rng.randint(1, 5)))
+        for _ in range(600)
+    ]
+    specs = [*two_factor_specs(8, 4), *three_factor_specs(6), *seeded]
+    for spec in specs:
+        dense = poly_mul(*(progression_poly(m, n) for m, n in spec.factors))
+        assert product_poly(spec) == dense, spec
+    assert len(specs) == 576 + 1728 + 600
 
 
 def test_is_zero_one_examples():
@@ -160,8 +175,12 @@ def test_two_factor_condition_examples():
 
 
 def test_two_factor_agrees_with_tower():
-    for spec in all_specs(6, (2, 3, 4), 2):
+    # the report prints the peel's verdict as the two-factor condition;
+    # oracle: the divisibility condition itself
+    specs = list(all_specs(12, range(2, 7), 2))
+    for spec in specs:
         assert two_factor_condition(spec) == (tower_condition(spec) is not None), spec
+    assert len(specs) == 3600
 
 
 def test_w_basis_examples():

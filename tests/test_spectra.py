@@ -12,7 +12,6 @@ from tilecert.spectra import (
     RationalSpectrum,
     construct_spectrum,
     is_root_of,
-    max_spectrum_size,
     parse_thetas,
     spectrum_search,
     spectrum_search_poly,
@@ -24,12 +23,14 @@ from tilecert.tileset import CertificateError, IntSet, char_poly
 F = Fraction
 
 
-def test_max_spectrum_size():
-    assert max_spectrum_size(IntPoly([1, 1, 1, 1])) == 4
-    assert max_spectrum_size(IntPoly([1, 2, 1])) == 3
-    assert max_spectrum_size(IntPoly([1])) == 1
-    with pytest.raises(ValueError):
-        max_spectrum_size(IntPoly([1, -1]))
+def nonzero_terms(p: IntPoly) -> int:
+    """The orthogonality bound on N for any N-spectrum of a nonnegative polynomial.
+
+    The exponential vectors attached to spectrum values are mutually
+    orthogonal in a space whose dimension is the number of nonzero
+    coefficients, so no larger spectrum exists.
+    """
+    return sum(1 for c in p.coeffs if c)
 
 
 def test_is_root_of_examples():
@@ -38,6 +39,8 @@ def test_is_root_of_examples():
     assert not is_root_of(IntPoly([1, 1, 0, 1, 1]), F(1, 3))
     # delta = 0 asks whether 1 is a root; never for a 0/1 polynomial
     assert not is_root_of(IntPoly([1, 1]), F(0))
+    assert is_root_of(IntPoly([-1, 0, 1]), F(0))
+    assert not is_root_of(IntPoly([3]), F(0))
     with pytest.raises(ValueError):
         is_root_of(IntPoly([1, 1]), F(3, 2))
 
@@ -53,14 +56,22 @@ def test_rational_spectrum_validation():
 
 def test_parse_thetas():
     assert parse_thetas("1/2, 1/4") == [F(1, 2), F(1, 4)]
+    assert parse_thetas("-3/4,2,0.25,.5") == [F(-3, 4), F(2), F(1, 4), F(1, 2)]
     with pytest.raises(ValueError):
         parse_thetas("1/0")
     with pytest.raises(ValueError):
         parse_thetas("abc")
+    # exponent notation would build 10**30000000 before any check
+    for tok in ("1e30000000", "2.5E-3", "1e1"):
+        with pytest.raises(ValueError, match="bad fraction"):
+            parse_thetas(tok)
 
 
 def test_verify_spectrum_examples():
     assert verify_spectrum(IntSet([0, 1]), RationalSpectrum([F(1, 2)]))
+    # any sequence of fractions, reduced mod 1, a repeat failing
+    assert verify_spectrum(IntSet([0, 1]), [F(3, 2)])
+    assert not verify_spectrum(IntSet([0, 1]), (F(1, 2), F(-1, 2)))
     # root conditions alone do not enforce the full size; the reporting
     # layer checks size separately
     assert verify_spectrum(IntSet([0, 1, 2, 3]), RationalSpectrum([F(1, 2), F(1, 4)]))
@@ -146,7 +157,7 @@ def test_search_agrees_with_construction_size():
 
 def test_repeated_coefficient_gate():
     # (1+x)**2 = 1 + 2x + x^2 sums to 4 but has only 3 nonzero terms,
-    # so no full spectrum can exist
+    # so no full spectrum can exist, and the search finds none
     square = IntPoly([1, 2, 1])
     assert spectrum_search_poly(square) is None
     quartic = IntPoly([1, 0, 2, 0, 1])  # (1 + x^2)**2
@@ -158,7 +169,7 @@ def test_verified_size_within_orthogonality_bound():
         a = IntSet(combo)
         found = spectrum_search(a)
         if found is not None:
-            assert len(found) + 1 <= max_spectrum_size(char_poly(a))
+            assert len(found) + 1 <= nonzero_terms(char_poly(a))
 
 
 def test_oversized_root_grid_fails_verification():
@@ -169,7 +180,7 @@ def test_oversized_root_grid_fails_verification():
     a = IntSet([0, 2])
     grid = [F(j, 4) for j in range(1, 4)]
     assert not verify_spectrum_poly(char_poly(a), grid)
-    assert len(grid) + 1 > max_spectrum_size(char_poly(a))
+    assert len(grid) + 1 > nonzero_terms(char_poly(a))
     # the correct spectrum keeps only j = 1..p-1
     assert verify_spectrum(a, RationalSpectrum([F(1, 4)]))
 
@@ -179,6 +190,8 @@ def test_search_poly_trivial_target():
     assert spectrum_search_poly(IntPoly([1])).thetas == ()
     with pytest.raises(ValueError):
         spectrum_search_poly(IntPoly())
+    with pytest.raises(ValueError, match="nonnegative"):
+        spectrum_search_poly(IntPoly([2, -1, 1]))
 
 
 def test_search_is_deterministic():
@@ -228,7 +241,6 @@ def test_verifier_polynomial_does_not_grow_with_offset(monkeypatch, capsys):
         return verify_spectrum_poly(p, thetas)
 
     monkeypatch.setattr(spectra, "verify_spectrum_poly", recorder)
-    monkeypatch.setattr(cli, "verify_spectrum_poly", recorder)
     shifted = IntSet(10**6 + x for x in (0, 1, 8, 9))
     assert construct_spectrum(shifted) == construct_spectrum(IntSet([0, 1, 8, 9]))
     assert cli.main(["spectrum", "verify", ",".join(map(str, shifted.elements)),

@@ -10,7 +10,7 @@ nowhere.  There is no allow-list.
 
 The match is by name only, with no scopes and no types, so the guard
 misses some dead code: any use of the same name hides a dead definition.
-A local variable ``shifted`` in ``intpoly._times_binomial``, for
+A local variable ``shifted`` in ``intpoly.times_binomial``, for
 instance, would hide a dead ``IntSet.shifted`` method.
 """
 
