@@ -6,10 +6,26 @@ indices the package factors.  The bounded-totient enumerations
 (``totient_at_most`` and ``divisors_totient_at_most``) build their
 results from prime powers in one depth-first search, pruned by the
 running totient, and factorize nothing; the first sieves its primes
-once.  The root-of-unity search for the inventory's fast reject finds
-the least prime q = 1 (mod s) by trial division along the progression
-s + 1, 2s + 1, ..., then searches small bases for an element of order
-exactly s mod q.
+once.
+
+The inventory's rejects read the s-th cyclotomic polynomial Phi_s at
+a few integer points without building it.  Each is sound because Phi_s
+is monic: if Phi_s divides A in Z[x], the quotient Q has integer
+coefficients, so Phi_s(m) divides A(m) = Phi_s(m) * Q(m) for every
+integer m, and a value of A that the value of Phi_s does not divide
+rules s out.
+
+* ``cyclotomic_at_one``: Phi_s(1) is p for s = p**a and 1 otherwise
+  (0 for s = 1).
+* ``cyclotomic_at_minus_one``: Phi_s(-1) is 0 for s = 2, p for
+  s = 2 * p**a with p odd, 2 for s = 2**a with a >= 2, and 1 for every
+  other s >= 3 (-2 for s = 1).
+* ``cyclotomic_at_two``: Phi_s(2), from the binomial product of
+  ``radical_binomials`` evaluated at 2, memoized per s.
+* ``root_of_unity_mod_prime``: the least prime q = 1 (mod s), found by
+  trial division along the progression s + 1, 2s + 1, ..., and an
+  element w of order exactly s mod q from a search over small bases;
+  Phi_s(w) = 0 (mod q), so A(w) != 0 (mod q) rules s out.
 """
 
 from __future__ import annotations
@@ -163,3 +179,67 @@ def root_of_unity_mod_prime(s: int) -> tuple[int, int]:
         if all(pow(w, c, q) != 1 for c in cofactors):
             return q, w
         g += 1
+
+
+def radical_binomials(s: int) -> tuple[int, list[tuple[int, int]]]:
+    """The stride t = s / rad(s) and the (d, mu(r/d)) pairs over the divisors d of r = rad(s).
+
+    Then Phi_s(x) = Phi_r(x**t), and Moebius inversion of
+    x**n - 1 = prod over d | n of Phi_d(x) gives
+
+        Phi_r(x) = prod over d | r of (x**d - 1)**mu(r/d).
+    """
+    if s < 1:
+        raise ValueError("cyclotomic index must be >= 1")
+    primes = [p for p, _ in factorize(s)]
+    terms = [(1, (-1) ** len(primes))]
+    for p in primes:
+        terms += [(d * p, -mu) for d, mu in terms]
+    return s // math.prod(primes), terms
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_at_one(s: int) -> int:
+    """Phi_s(1): 0 for s = 1, p for s = p**a, else 1.  Memoized per s."""
+    if s < 1:
+        raise ValueError("cyclotomic index must be >= 1")
+    if s == 1:
+        return 0
+    pp = prime_power(s)
+    return pp[0] if pp else 1
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_at_minus_one(s: int) -> int:
+    """Phi_s(-1): -2 for s = 1, 0 for s = 2, and Phi_(s/2)(1) for even s >= 4, else 1.
+
+    That is p for s = 2 * p**a with p odd, 2 for s = 2**a with a >= 2,
+    and 1 for every other s >= 3.  For odd s >= 3, Phi_s(-x) = Phi_2s(x),
+    so Phi_s(-1) = Phi_2s(1) = 1.  For even s = 2n with n >= 2, Phi_s(x)
+    is Phi_n(-x) when n is odd and Phi_n(x**2) when n is even; either
+    way Phi_s(-1) = Phi_n(1).  Memoized per s.
+    """
+    if s < 1:
+        raise ValueError("cyclotomic index must be >= 1")
+    if s <= 2:
+        return -2 if s == 1 else 0
+    return 1 if s % 2 else cyclotomic_at_one(s // 2)
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_at_two(s: int) -> int:
+    """Phi_s(2) = prod over d | s of (2**d - 1)**mu(s/d), without building Phi_s.
+
+    The product runs over the divisors of rad(s) only (``radical_binomials``),
+    its factors with mu = +1 first; the division by the rest is exact.
+    Memoized per s: the dense inventory asks for the same candidates for
+    every polynomial of a span.
+    """
+    stride, terms = radical_binomials(s)
+    num = den = 1
+    for d, mu in terms:
+        if mu > 0:
+            num *= (1 << (stride * d)) - 1
+        else:
+            den *= (1 << (stride * d)) - 1
+    return num // den

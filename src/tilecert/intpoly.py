@@ -22,11 +22,10 @@ which is safe for concurrent read/insert under CPython.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 from functools import lru_cache
 
-from .arith import euler_phi, factorize
+from .arith import euler_phi, radical_binomials
 from .values import frozen
 
 
@@ -132,20 +131,16 @@ def cyclotomic(s: int) -> IntPoly:
     Phi_s(x) = Phi_r(x**(s/r)), and Moebius inversion of
     x**n - 1 = prod over d | n of Phi_d(x) gives
 
-        Phi_r(x) = prod over d | r of (x**d - 1)**mu(r/d).
+        Phi_r(x) = prod over d | r of (x**d - 1)**mu(r/d)
 
-    The factors with mu(r/d) = +1 are multiplied in first, then each
-    factor with mu(r/d) = -1 is divided out exactly.  Every step is one
-    linear pass against a binomial: no long division, and no smaller
-    cyclotomic polynomial is built.  Results are memoized, so repeated
-    use costs one dict lookup.
+    (``arith.radical_binomials`` lists the pairs).  The factors with
+    mu(r/d) = +1 are multiplied in first, then each factor with
+    mu(r/d) = -1 is divided out exactly.  Every step is one linear pass
+    against a binomial: no long division, and no smaller cyclotomic
+    polynomial is built.  Results are memoized, so repeated use costs
+    one dict lookup.
     """
-    if s < 1:
-        raise ValueError("cyclotomic index must be >= 1")
-    primes = [p for p, _ in factorize(s)]
-    terms = [(1, (-1) ** len(primes))]  # (d, mu(r/d)) for each divisor d of r
-    for p in primes:
-        terms += [(d * p, -mu) for d, mu in terms]
+    stride, terms = radical_binomials(s)
     coeffs = [1]
     for d, mu in terms:
         if mu > 0:
@@ -153,7 +148,6 @@ def cyclotomic(s: int) -> IntPoly:
     for d, mu in terms:
         if mu < 0:
             coeffs = over_binomial(coeffs, d)
-    stride = s // math.prod(primes)
     spread = [0] * (stride * (len(coeffs) - 1) + 1)
     spread[::stride] = coeffs
     return IntPoly(spread)

@@ -24,6 +24,7 @@ cyclotomic divisibility test.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
@@ -137,20 +138,25 @@ def construct_spectrum(a: IntSet) -> RationalSpectrum | None:
         sum over inventory prime powers s = p**alpha of k_s / s,
         with 0 <= k_s < p,
 
-    taken mod 1, drops 0, and returns the rest.  Under (T1) there are
-    exactly #A such sums and they are pairwise distinct, so the result
-    has #A - 1 values; it is verified before being returned and a
-    failure there raises ``CertificateError``.
+    taken mod 1, drops 0, and returns the rest.  The sums are kept as
+    integers on the common denominator L, the product of each prime's
+    largest inventory power: the term k_s / s is k_s * (L / s) mod L,
+    and a Fraction is built only for each value of the result.  Under
+    (T1) there are exactly #A such sums and they are pairwise distinct,
+    so the result has #A - 1 values; it is verified before being
+    returned and a failure there raises ``CertificateError``.
     """
     if not (check_t1(a) and check_t2(a)):
         return None
     inv = cyclotomic_divisors(a)
-    ranges = [[Fraction(k, s) for k in range(p)] for p, group in inv.by_prime for s in group]
-    sums = {Fraction(0)}
-    for combo in itertools.product(*ranges):
-        sums.add(sum(combo, Fraction(0)) % 1)
-    sums.discard(Fraction(0))
-    spectrum = RationalSpectrum(sums)
+    denominator = math.prod(group[-1] for _, group in inv.by_prime)
+    sums = {0}
+    for p, group in inv.by_prime:
+        for s in group:
+            step = denominator // s
+            sums = {(x + k * step) % denominator for x in sums for k in range(p)}
+    sums.discard(0)
+    spectrum = RationalSpectrum(Fraction(x, denominator) for x in sums)
     if len(spectrum) != a.size - 1:
         raise CertificateError(f"spectrum formula for {a} produced {len(spectrum)} values")
     if not verify_spectrum(a, spectrum.thetas):

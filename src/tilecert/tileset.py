@@ -21,15 +21,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from operator import index
 
 from .arith import (
+    cyclotomic_at_minus_one,
+    cyclotomic_at_one,
+    cyclotomic_at_two,
     divisors_totient_at_most,
     factorize,
     prime_count,
-    prime_power,
     primes_up_to,
     root_of_unity_mod_prime,
     totient_at_most,
@@ -94,8 +96,10 @@ class CycloDivisors:
     ``indices`` holds every s >= 2 whose cyclotomic polynomial divides
     the polynomial, given ascending; ``prime_powers`` is the subset of
     prime powers, and ``by_prime`` groups those as ``(p, (p**a, ...))``
-    pairs in increasing p.  The indices are factored here and only here:
-    (T1), (T2) and the spectrum formula all read ``by_prime``.
+    pairs in increasing p.  The prime of a prime power s is the value
+    of its cyclotomic polynomial at 1, which is 1 for every other s >= 2;
+    it is read here and only here, from the memo in ``arith``: (T1),
+    (T2) and the spectrum formula all read ``by_prime``.
     """
 
     indices: tuple[int, ...]
@@ -107,10 +111,10 @@ class CycloDivisors:
         powers = []
         groups: dict[int, list[int]] = {}
         for s in indices:
-            pp = prime_power(s)
-            if pp is not None:
+            p = cyclotomic_at_one(s)
+            if p > 1:
                 powers.append(s)
-                groups.setdefault(pp[0], []).append(s)
+                groups.setdefault(p, []).append(s)
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "prime_powers", tuple(powers))
         object.__setattr__(self, "by_prime", tuple((q, tuple(g)) for q, g in sorted(groups.items())))
@@ -133,19 +137,32 @@ def _mann_divisors(a: int, k: int, bound: int) -> tuple[int, ...]:
     return tuple(divisors_totient_at_most(list(exps.items()), bound))
 
 
-def _candidate_indices(exps: list[int]) -> Iterable[int]:
-    """A complete ascending list of the s that can index a divisor, from the exponents.
+def _candidate_indices(exps: list[int]) -> tuple[bool, Sequence[int]]:
+    """Whether p is dense, and a complete ascending list of the s that can index a divisor.
 
-    See ``divisors_of_poly`` for why it is complete.
+    Reads the exponents only.  See ``divisors_of_poly`` for the rule
+    and for why either list is complete.
     """
     k, low = len(exps), exps[0]
     span = exps[-1] - low
     if (k - 1) * prime_count(k) > span:
-        return totient_at_most(span)
+        return True, totient_at_most(span)
     found: set[int] = set()
     for e in exps[1:]:
         found.update(_mann_divisors(e - low, k, span))
-    return sorted(found)
+    return False, sorted(found)
+
+
+@lru_cache(maxsize=256)
+def _dense_values(candidates: tuple[int, ...]) -> tuple[tuple[int, int, int, int], ...]:
+    """Each dense candidate s with the values of its cyclotomic polynomial at 1, -1 and 2.
+
+    Memoized per list: the dense list is the memoized
+    ``totient_at_most(span)``, the same for every polynomial of a span,
+    so a scan reads one row per candidate instead of three memos.
+    """
+    return tuple((s, cyclotomic_at_one(s), cyclotomic_at_minus_one(s), cyclotomic_at_two(s))
+                 for s in candidates)
 
 
 def divisors_of_poly(p: IntPoly) -> CycloDivisors:
@@ -183,27 +200,64 @@ def divisors_of_poly(p: IntPoly) -> CycloDivisors:
     reads k and the span only, and builds neither list to compare (the
     dense list alone takes about a second at degree 200,000).
 
-    Most candidates are rejected without a division.  For each s,
-    ``root_of_unity_mod_prime`` gives a prime q = 1 (mod s) and an
-    element w of order exactly s in the field of integers mod q.  Then w
-    is a root of x**s - 1, the product of the cyclotomic polynomials of
-    the divisors d of s, but of no x**d - 1 with d < s, which the
-    cyclotomic polynomial of index d divides; so w is a root of the
-    cyclotomic polynomial of index s mod q.  If that polynomial divides
-    p over the integers, p(w) = 0 (mod q) follows.  A nonzero p(w) mod q
-    therefore rules s out, and every s that survives is decided by the
-    exact division of ``divides_cyclotomic``, so the result equals the
-    unfiltered scan over every s with phi(s) <= deg p.
+    Most candidates are rejected without a division.  Each reject
+    evaluates the cyclotomic polynomial Phi_s of index s at one point
+    m, and rules s out when Phi_s(m) does not divide p(m).  This is
+    sound because Phi_s is monic: if it divides p over the integers,
+    the quotient has integer coefficients, so Phi_s(m) divides p(m).
+
+    * At m = 1 and m = -1, on both paths and before anything else:
+      p(1) and p(-1) are computed once, and ``arith`` gives Phi_s(1)
+      (p for s = p**a, else 1) and Phi_s(-1) (0 for s = 2, p for
+      s = 2 * p**a with p odd, 2 for s = 2**a with a >= 2, else 1) in
+      O(1).  For a set, p(1) is its size, so every prime power of a
+      prime not dividing the size goes here.
+    * Dense p, at m = 2: p(2) / 2**e, the sum of the c_i * 2**(i - e)
+      (for a 0/1 polynomial the bitmask of the set), is computed once,
+      and one big-int remainder by Phi_s(2), memoized per s in
+      ``arith.cyclotomic_at_two``, decides each candidate.  Phi_s(2) is
+      odd, so the power of 2 dropped with x**e changes nothing.  The
+      dense list depends on the span only, so its values at 1, -1 and
+      2 are read from one memoized row per candidate.
+    * Sparse p, mod a prime: ``root_of_unity_mod_prime`` gives a prime
+      q = 1 (mod s) and an element w of order exactly s in the field of
+      integers mod q.  Then w is a root of x**s - 1, the product of the
+      cyclotomic polynomials of the divisors d of s, but of no
+      x**d - 1 with d < s, which the cyclotomic polynomial of index d
+      divides; so w is a root of Phi_s mod q, and a nonzero p(w) mod q
+      rules s out.  Its modulus stays small where p(2) would have as
+      many bits as the span.
+
+    Every s that survives is decided by the exact division of
+    ``divides_cyclotomic``, so the result equals the unfiltered scan
+    over every s with phi(s) <= deg p.
     """
     deg = p.degree()
     if deg is None:
         raise ValueError("polynomial must be nonzero")
-    exps = [i for i, c in enumerate(p.coeffs) if c]
+    coeffs = p.coeffs
+    exps = [i for i, c in enumerate(coeffs) if c]
+    at_one = sum(coeffs)
+    at_minus_one = sum(coeffs[::2]) - sum(coeffs[1::2])
+    dense, candidates = _candidate_indices(exps)
+    found = []
+    # Phi_s(-1) is 0 only for s = 2, and 0 divides only 0
+    if dense:
+        at_two = sum(coeffs[i] << (i - exps[0]) for i in exps)
+        for s, one, minus_one, two in _dense_values(candidates):
+            if (at_one % one or (at_minus_one % minus_one if minus_one else at_minus_one)
+                    or at_two % two):
+                continue
+            if divides_cyclotomic(p, s):
+                found.append(s)
+        return CycloDivisors(found)
     # nonzero terms in ascending order as (gap to the previous exponent, coefficient),
     # so that p(w) mod q is one chained pass of multiplications
-    terms = [(i - j, p.coeffs[i]) for i, j in zip(exps, [0] + exps)]
-    found = []
-    for s in _candidate_indices(exps):
+    terms = [(i - j, coeffs[i]) for i, j in zip(exps, [0] + exps)]
+    for s in candidates:
+        minus_one = cyclotomic_at_minus_one(s)
+        if at_one % cyclotomic_at_one(s) or (at_minus_one % minus_one if minus_one else at_minus_one):
+            continue
         q, w = root_of_unity_mod_prime(s)
         x, value = 1, 0
         for gap, c in terms:

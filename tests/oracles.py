@@ -8,9 +8,6 @@ s-th roots of unity, computed exactly from the Moebius function:
 Power sums of a product of cyclotomic polynomials are sums of these, so
 they check Newton's identities in ``tilecert.analysis`` independently.
 
-The value of the s-th cyclotomic polynomial at 1 has a closed form in the
-factorization of s, which (T1) reads off the inventory's prime groups.
-
 The library has no general polynomial multiplication and no separate
 two-factor condition: it expands products through binomial passes and
 decides every tower, two factors included, by one peel.  The dense
@@ -22,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from tilecert.arith import divisors, factorize, prime_power
+from tilecert.arith import divisors, factorize
 from tilecert.intpoly import IntPoly
 from tilecert.products import ProductSpec
 
@@ -50,16 +47,6 @@ def x_pow_minus_one(n: int) -> IntPoly:
     if n < 1:
         raise ValueError("n must be positive")
     return IntPoly([-1] + [0] * (n - 1) + [1])
-
-
-def cyclotomic_at_one(s: int) -> int:
-    """Value of the s-th cyclotomic polynomial at 1: 0 for s = 1, p for s a power of p, else 1."""
-    if s < 1:
-        raise ValueError("cyclotomic index must be >= 1")
-    if s == 1:
-        return 0
-    pp = prime_power(s)
-    return pp[0] if pp else 1
 
 
 def poly_sum(*polys: IntPoly) -> IntPoly:

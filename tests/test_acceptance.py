@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from lattice import echelon, in_lattice, w_basis
-from oracles import cyclotomic_at_one, poly_mul, ramanujan_sum, x_pow_minus_one
-from tilecert.arith import divisors, euler_phi
+from oracles import poly_mul, ramanujan_sum, x_pow_minus_one
+from tilecert.arith import cyclotomic_at_one, divisors, euler_phi
 from tilecert.analysis import classify_prime_power_cyclotomic, power_sums
 from tilecert.families import (
     product_facts,

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from oracles import cyclotomic_at_one, poly_mul, poly_sum, x_pow_minus_one
-from tilecert.arith import divisors
+from oracles import poly_mul, poly_sum, x_pow_minus_one
+from tilecert.arith import cyclotomic_at_one, divisors
 from tilecert.intpoly import (
     IntPoly,
     cyclotomic,

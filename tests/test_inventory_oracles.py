@@ -12,7 +12,10 @@ The slow paths it replaced stay here as oracles:
 * the recursive cyclotomic, which divides x**s - 1 by the cyclotomic
   polynomial of every proper divisor of s;
 * the unfiltered inventory, which divides by every candidate instead of
-  first rejecting those with p(w) != 0 mod q.
+  first rejecting those whose cyclotomic value at 1, -1 or 2 does not
+  divide p's, or with p(w) != 0 mod q;
+* evaluation of the built cyclotomic polynomial, for the closed forms
+  of its values at 1, -1 and 2 that those rejects read.
 """
 
 import math
@@ -22,6 +25,9 @@ import pytest
 
 from oracles import poly_mul, poly_sum, x_pow_minus_one
 from tilecert.arith import (
+    cyclotomic_at_minus_one,
+    cyclotomic_at_one,
+    cyclotomic_at_two,
     divisors,
     divisors_totient_at_most,
     euler_phi,
@@ -108,14 +114,61 @@ def test_root_of_unity_mod_prime_rejects_orders_below_two():
             root_of_unity_mod_prime(s)
 
 
-def test_filter_false_positive_is_decided_by_division():
-    # x**2 + c with c = -w**2 (mod q) vanishes at w mod q, but the third
-    # cyclotomic polynomial x**2 + x + 1 does not divide it.
-    q, w = root_of_unity_mod_prime(3)
-    p = IntPoly([-w * w % q, 0, 1])
+def test_cyclotomic_values_match_evaluation():
+    for s in range(1, 401):
+        phi = cyclotomic(s)
+        assert cyclotomic_at_one(s) == phi(1), s
+        assert cyclotomic_at_minus_one(s) == phi(-1), s
+        assert cyclotomic_at_two(s) == phi(2), s
+
+
+@pytest.mark.parametrize("helper", [cyclotomic_at_one, cyclotomic_at_minus_one, cyclotomic_at_two])
+def test_cyclotomic_values_reject_indices_below_one(helper):
+    for s in (0, -3):
+        with pytest.raises(ValueError):
+            helper(s)
+
+
+def divisions_tried(monkeypatch, p: IntPoly) -> tuple[list[int], list[int]]:
+    """The inventory of p, and the indices that reached the exact division."""
+    tried = []
+
+    def recorder(poly, s):
+        tried.append(s)
+        return divides_cyclotomic(poly, s)
+
+    monkeypatch.setattr(tileset, "divides_cyclotomic", recorder)
+    return list(divisors_of_poly(p).indices), tried
+
+
+def test_filter_false_positive_is_decided_by_division(monkeypatch):
+    # Sparse path: 1 + x - x**4 has 3 terms and span 4 = 2 * pi(3).  The
+    # twelfth cyclotomic polynomial x**4 - x**2 + 1 takes the value 1 at 1
+    # and -1, and 1 + w - w**4 = 0 (mod q) at its root w mod q, so s = 12
+    # passes every reject; it does not divide, and the division says so.
+    p = IntPoly([1, 1, 0, 0, -1])
+    exps = [0, 1, 4]
+    assert tileset._candidate_indices(exps) == (False, [2, 3, 4, 6, 8, 12])
+    q, w = root_of_unity_mod_prime(12)
     assert p(w) % q == 0
-    assert not divides_cyclotomic(p, 3)
-    assert 3 not in divisors_of_poly(p).indices
+    assert cyclotomic_at_one(12) == cyclotomic_at_minus_one(12) == 1
+    assert not divides_cyclotomic(p, 12)
+    found, tried = divisions_tried(monkeypatch, p)
+    assert 12 in tried and 12 not in found
+    assert found == unfiltered_divisor_indices(p)
+
+
+def test_dense_false_positive_is_decided_by_division(monkeypatch):
+    # Dense path: (x - 2)(x**2 - 1) has 4 terms and span 3 < 3 * pi(4), and
+    # it vanishes at 1, -1 and 2, so every candidate passes every reject.
+    # Only the second cyclotomic polynomial x + 1 divides it.
+    p = poly_mul(IntPoly([-2, 1]), IntPoly([-1, 0, 1]))
+    assert p.coeffs == (2, -1, -2, 1)
+    assert p(1) == p(-1) == p(2) == 0
+    assert tileset._candidate_indices([0, 1, 2, 3]) == (True, (2, 3, 4, 6))
+    found, tried = divisions_tried(monkeypatch, p)
+    assert tried == [2, 3, 4, 6]
+    assert found == [2] == unfiltered_divisor_indices(p)
 
 
 def test_inventory_matches_unfiltered_scan_on_seeded_sets():
@@ -124,6 +177,35 @@ def test_inventory_matches_unfiltered_scan_on_seeded_sets():
         elems = {0, deg} | {x for x in range(1, deg) if rng.random() < 0.3}
         p = char_poly(IntSet(elems))
         assert list(divisors_of_poly(p).indices) == unfiltered_divisor_indices(p), deg
+
+
+def test_inventory_matches_unfiltered_scan_on_dense_inputs():
+    # seeded inputs on the dense path, where p(2) decides the rejects
+    # that p(1) and p(-1) leave: 0/1 sets, some shifted off 0, and signed
+    # polynomials, some times cyclotomic factors so that the inventory
+    # is not empty
+    rng = random.Random(97)
+    checked = nonempty = 0
+    for trial in range(240):
+        if trial % 2:
+            span = rng.randint(3, 60)
+            k = rng.randint(min(span + 1, 4 + span // 3), span + 1)
+            low = rng.choice((0, 0, rng.randint(1, 20)))
+            elems = {0, span} | set(rng.sample(range(1, span), k - 2))
+            p = char_poly(IntSet(low + x for x in elems))
+        else:
+            p = IntPoly([rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(rng.randint(2, 12))])
+            while rng.random() < 0.7 and p.degree() < 50:
+                p = poly_mul(p, cyclotomic(rng.randint(2, 30)))
+            p = IntPoly([0] * rng.choice((0, 0, rng.randint(1, 10))) + list(p.coeffs))
+        dense, _ = tileset._candidate_indices([i for i, c in enumerate(p.coeffs) if c])
+        if not dense:
+            continue
+        found = list(divisors_of_poly(p).indices)
+        assert found == unfiltered_divisor_indices(p), p
+        checked += 1
+        nonempty += bool(found)
+    assert checked >= 200 and nonempty >= 100, (checked, nonempty)
 
 
 def test_inventory_of_initial_segments():
@@ -225,17 +307,19 @@ def test_inventory_of_sparse_set_of_degree_1200():
     (IntPoly([0, 0, 0, 0, 0, 3]), 0),
 ])
 def test_candidate_counts(monkeypatch, poly, candidates):
-    # one root_of_unity_mod_prime call per candidate: the Mann list does not
-    # grow with the degree ({0,1,240} had 483 totient candidates, {0,1,200000}
-    # about 380,000), {0..15} keeps the totient list, and a monomial has no
-    # cyclotomic divisor and no candidate
+    # the candidates as the scan takes them, before any reject: the Mann list
+    # does not grow with the degree ({0,1,240} had 483 totient candidates,
+    # {0,1,200000} about 380,000), {0..15} keeps the totient list, and a
+    # monomial has no cyclotomic divisor and no candidate
     seen = []
+    candidate_indices = tileset._candidate_indices
 
-    def recorder(s):
-        seen.append(s)
-        return root_of_unity_mod_prime(s)
+    def recorder(exps):
+        dense, found = candidate_indices(exps)
+        seen.extend(found)
+        return dense, found
 
-    monkeypatch.setattr(tileset, "root_of_unity_mod_prime", recorder)
+    monkeypatch.setattr(tileset, "_candidate_indices", recorder)
     found = list(divisors_of_poly(poly).indices)
     assert len(seen) == candidates
     assert seen == sorted(set(seen))
