@@ -21,7 +21,7 @@ rules s out.
   s = 2 * p**a with p odd, 2 for s = 2**a with a >= 2, and 1 for every
   other s >= 3 (-2 for s = 1).
 * ``cyclotomic_at_two``: Phi_s(2), from the binomial product of
-  ``radical_binomials`` evaluated at 2, memoized per s.
+  ``radical_binomials`` evaluated at 2, memoized for recent s.
 * ``root_of_unity_mod_prime``: the least prime q = 1 (mod s), found by
   trial division along the progression s + 1, 2s + 1, ..., and an
   element w of order exactly s mod q from a search over small bases;
@@ -198,9 +198,14 @@ def radical_binomials(s: int) -> tuple[int, list[tuple[int, int]]]:
     return s // math.prod(primes), terms
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def cyclotomic_at_one(s: int) -> int:
-    """Phi_s(1): 0 for s = 1, p for s = p**a, else 1.  Memoized per s."""
+    """Phi_s(1): 0 for s = 1, p for s = p**a, else 1.
+
+    Memoized for the last 4096 indices, which hold every candidate of a
+    span up to about 2,000; a wider scan factors each of its candidates
+    again, a few microseconds each, rather than keep one entry per index.
+    """
     if s < 1:
         raise ValueError("cyclotomic index must be >= 1")
     if s == 1:
@@ -209,7 +214,6 @@ def cyclotomic_at_one(s: int) -> int:
     return pp[0] if pp else 1
 
 
-@lru_cache(maxsize=None)
 def cyclotomic_at_minus_one(s: int) -> int:
     """Phi_s(-1): -2 for s = 1, 0 for s = 2, and Phi_(s/2)(1) for even s >= 4, else 1.
 
@@ -217,7 +221,7 @@ def cyclotomic_at_minus_one(s: int) -> int:
     and 1 for every other s >= 3.  For odd s >= 3, Phi_s(-x) = Phi_2s(x),
     so Phi_s(-1) = Phi_2s(1) = 1.  For even s = 2n with n >= 2, Phi_s(x)
     is Phi_n(-x) when n is odd and Phi_n(x**2) when n is even; either
-    way Phi_s(-1) = Phi_n(1).  Memoized per s.
+    way Phi_s(-1) = Phi_n(1), read from ``cyclotomic_at_one``.
     """
     if s < 1:
         raise ValueError("cyclotomic index must be >= 1")
@@ -226,14 +230,15 @@ def cyclotomic_at_minus_one(s: int) -> int:
     return 1 if s % 2 else cyclotomic_at_one(s // 2)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def cyclotomic_at_two(s: int) -> int:
     """Phi_s(2) = prod over d | s of (2**d - 1)**mu(s/d), without building Phi_s.
 
     The product runs over the divisors of rad(s) only (``radical_binomials``),
     its factors with mu = +1 first; the division by the rest is exact.
-    Memoized per s: the dense inventory asks for the same candidates for
-    every polynomial of a span.
+    Memoized for the last 1024 indices: the dense inventory asks for the
+    same candidates for every polynomial of a span, but a memo of every
+    index would keep about span**2 bits for the widest span it has seen.
     """
     stride, terms = radical_binomials(s)
     num = den = 1

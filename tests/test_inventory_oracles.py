@@ -115,9 +115,9 @@ def test_root_of_unity_mod_prime_rejects_orders_below_two():
 
 
 def test_cyclotomic_values_match_evaluation():
+    # the value at 1 is checked by test_intpoly.py::test_cyclotomic_at_one
     for s in range(1, 401):
         phi = cyclotomic(s)
-        assert cyclotomic_at_one(s) == phi(1), s
         assert cyclotomic_at_minus_one(s) == phi(-1), s
         assert cyclotomic_at_two(s) == phi(2), s
 
@@ -169,6 +169,30 @@ def test_dense_false_positive_is_decided_by_division(monkeypatch):
     found, tried = divisions_tried(monkeypatch, p)
     assert tried == [2, 3, 4, 6]
     assert found == [2] == unfiltered_divisor_indices(p)
+
+
+@pytest.mark.parametrize("step, mod_q", [(29, False), (31, True)])
+def test_dense_reject_follows_its_cost(monkeypatch, step, mod_q):
+    # 151 points spaced by step, on the dense path: the span 150 * step is
+    # below (k - 1) * pi(k) = 150 * 36.  Phi_s(2) and the remainder by it
+    # grow with span * phi(s), the mod-q chain with k, so the mod-q reject
+    # takes over once span**2 > 2**17 * k: 4350**2 is below 2**17 * 151,
+    # 4650**2 above.  The polynomial is (x**(151 * step) - 1) / (x**step - 1).
+    calls = {root_of_unity_mod_prime: 0, cyclotomic_at_two: 0}
+
+    def counted(f):
+        def call(s):
+            calls[f] += 1
+            return f(s)
+        return call
+
+    monkeypatch.setattr(tileset, "root_of_unity_mod_prime", counted(root_of_unity_mod_prime))
+    monkeypatch.setattr(tileset, "cyclotomic_at_two", counted(cyclotomic_at_two))
+    exps = list(range(0, 151 * step, step))
+    assert tileset._candidate_indices(exps)[0]
+    found = list(divisors_of_poly(char_poly(IntSet(exps))).indices)
+    assert found == [s for s in divisors(151 * step) if step % s]
+    assert (calls[root_of_unity_mod_prime] > 0, calls[cyclotomic_at_two] > 0) == (mod_q, not mod_q)
 
 
 def test_inventory_matches_unfiltered_scan_on_seeded_sets():
