@@ -9,11 +9,14 @@ multiplication.
 
 A polynomial is stored as a dense tuple of integer coefficients indexed
 by exponent: ``IntPoly([1, 0, 1])`` is 1 + x**2.  The canonical form has
-no trailing zero coefficient and the zero polynomial is the empty tuple,
-so ``degree()`` returns None only for zero.  Coefficients are Python
-ints and therefore never overflow; this matters because cyclotomic
-coefficients do eventually exceed 1 in magnitude (the 105th cyclotomic
-polynomial is the first with a coefficient of -2).
+no trailing zero coefficient and the zero polynomial is the empty tuple.
+Coefficients are Python ints and therefore never overflow; this matters
+because cyclotomic coefficients do eventually exceed 1 in magnitude (the
+105th cyclotomic polynomial is the first with a coefficient of -2).
+
+A finite set A is never stored densely here: ``divides_cyclotomic``
+reads its 0/1 polynomial A(x) = sum of x**a from the exponents, so its
+cost follows the number of elements and the index s, not the span.
 
 Values are immutable and all operations are pure, so they can be used
 freely from concurrent workers.  The cyclotomic cache is an lru_cache,
@@ -22,7 +25,7 @@ which is safe for concurrent read/insert under CPython.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 
 from .arith import euler_phi, radical_binomials
@@ -41,22 +44,11 @@ class IntPoly:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    def degree(self) -> int | None:
-        """Degree, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __call__(self, x: int) -> int:
-        """Evaluate at an integer point (Horner)."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def divrem(self, divisor: "IntPoly") -> tuple["IntPoly", "IntPoly"]:
         """Long division by a monic divisor: self = divisor*quot + rem.
@@ -153,30 +145,29 @@ def cyclotomic(s: int) -> IntPoly:
     return IntPoly(spread)
 
 
-def divides_cyclotomic(p: IntPoly, s: int) -> bool:
-    """True iff the s-th cyclotomic polynomial divides p (p nonzero).
+def divides_cyclotomic(exps: Sequence[int], s: int) -> bool:
+    """True iff the s-th cyclotomic polynomial divides the 0/1 polynomial with exponents exps.
 
-    When deg p >= s, p is first folded mod x**s - 1: the coefficient of
-    x**r becomes the sum of p's coefficients at the exponents = r
-    (mod s).  The s-th cyclotomic polynomial divides x**s - 1, so it
-    divides p exactly when it divides the fold; a zero fold means
-    x**s - 1 itself divides p.  The long division then runs on a
-    dividend of degree below s, whatever the degree of p.
+    ``exps`` is a set's elements: ascending and distinct, at least one,
+    with any minimum.  The polynomial is folded mod x**s - 1 by counting
+    its exponents in each residue class, taken relative to the lowest:
+    the s-th cyclotomic polynomial divides x**s - 1 and is prime to x,
+    so it divides the polynomial exactly when it divides the fold, and
+    no translate of the set needs normalizing first.  The counts sum to
+    the number of exponents, so the fold is never zero; it has at most
+    min(s, span + 1) coefficients, and the long division runs on it
+    whatever the span.
     """
     if s < 1:
         raise ValueError("cyclotomic index must be >= 1")
-    if p.is_zero():
-        raise ValueError("dividend must be nonzero")
-    deg = p.degree()
-    assert deg is not None
-    # phi(s) >= sqrt(s/2), so beyond 2*deg**2 the degree rules s out
+    low = exps[0]
+    span = exps[-1] - low
+    # phi(s) >= sqrt(s/2), so beyond 2*span**2 the span rules s out
     # without factoring s, which by trial division can take forever
-    if s > 2 * deg * deg or euler_phi(s) > deg:
+    if s > 2 * span * span or euler_phi(s) > span:
         return False
-    if deg >= s:
-        coeffs = p.coeffs
-        p = IntPoly([sum(coeffs[r::s]) for r in range(s)])
-        if p.is_zero():
-            return True
-    _, rem = p.divrem(cyclotomic(s))
+    fold = [0] * min(s, span + 1)
+    for e in exps:
+        fold[(e - low) % s] += 1
+    _, rem = IntPoly(fold).divrem(cyclotomic(s))
     return rem.is_zero()

@@ -1,6 +1,7 @@
-"""Rational spectra of 0/1 (and general nonnegative) integer polynomials.
+"""Rational spectra of finite sets, through their 0/1 polynomials.
 
-An N-spectrum for a polynomial A(x) is a set of N-1 distinct values
+An N-spectrum for the polynomial A(x) = sum of x**a over the N elements
+a of a set A is a set of N-1 distinct values
 theta_1, ..., theta_{N-1} (theta_0 = 0 implicit) such that for every
 pair j != k the number exp(2*pi*i*(theta_j - theta_k)) is a root of A.
 This module works with rational theta only, where everything is exact:
@@ -18,7 +19,8 @@ available under the Coven-Meyerowitz conditions, and ``spectrum_search``
 runs a complete clique search over all candidate fractions.  Both, and
 ``tilecert spectrum verify``, check a spectrum with ``verify_spectrum``,
 which decides each root condition, the difference 0 included, by one
-cyclotomic divisibility test.
+cyclotomic divisibility test.  Every function here reads the set's
+elements as the exponents of A; none builds A densely.
 """
 
 from __future__ import annotations
@@ -28,11 +30,10 @@ import math
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
-from .intpoly import IntPoly, divides_cyclotomic
+from .intpoly import divides_cyclotomic
 from .tileset import (
     CertificateError,
     IntSet,
-    char_poly,
     check_t1,
     check_t2,
     cyclotomic_divisors,
@@ -86,30 +87,31 @@ def parse_thetas(text: str) -> list[Fraction]:
     return out
 
 
-def is_root_of(p: IntPoly, delta: Fraction) -> bool:
-    """True iff exp(2*pi*i*delta) is a root of p, for delta in [0, 1).
+def is_root_of(exps: Sequence[int], delta: Fraction) -> bool:
+    """True iff exp(2*pi*i*delta) is a root of the 0/1 polynomial with exponents exps.
 
-    delta = 0 has denominator 1, and the first cyclotomic polynomial
-    x - 1 divides p exactly when p(1) = 0.
+    delta lies in [0, 1).  delta = 0 has denominator 1, and the first
+    cyclotomic polynomial x - 1 divides no 0/1 polynomial, whose value
+    at 1 is its number of terms.
     """
     if not 0 <= delta < 1:
         raise ValueError("delta must lie in [0, 1)")
-    return divides_cyclotomic(p, delta.denominator)
+    return divides_cyclotomic(exps, delta.denominator)
 
 
-def verify_spectrum_poly(p: IntPoly, thetas: Sequence[Fraction]) -> bool:
+def verify_spectrum_poly(exps: Sequence[int], thetas: Sequence[Fraction]) -> bool:
     """Check the root condition for every pair drawn from thetas plus 0.
 
     Values are taken mod 1 first; a repeated value (including a theta
     congruent to 0) violates distinctness and yields False.  Only the
     root conditions are checked here -- whether len(thetas) + 1 matches
-    p evaluated at 1 is the caller's concern.
+    the number of exponents is the caller's concern.
     """
     pts = [Fraction(0)] + [Fraction(t) % 1 for t in thetas]
     if len(set(pts)) != len(pts):
         return False
     for u, v in itertools.combinations(pts, 2):
-        if not is_root_of(p, (u - v) % 1):
+        if not is_root_of(exps, (u - v) % 1):
             return False
     return True
 
@@ -120,14 +122,14 @@ def verify_spectrum(a: IntSet, thetas: Sequence[Fraction]) -> bool:
     ``thetas`` is any sequence of fractions; as in ``verify_spectrum_poly``,
     they are reduced mod 1 and a repeated value fails.
 
-    The set is normalized first: a shift multiplies the polynomial by a
-    power of x, which moves no root on the unit circle, and the dense
-    polynomial then has the set's diameter as degree, not its maximum.
-    Each root condition is decided by ``divides_cyclotomic``, which
-    folds the polynomial mod x**s - 1 first, so every division has a
-    dividend of degree below s whatever the diameter.
+    The elements are read as they are, with no normalizing: a shift
+    multiplies the polynomial by a power of x, which is prime to every
+    cyclotomic polynomial and only rotates the fold.  Each root
+    condition is decided by ``divides_cyclotomic``, which folds the
+    exponents mod s first, so every division has a dividend of degree
+    below s, built in time that follows #A, whatever the diameter.
     """
-    return verify_spectrum_poly(char_poly(a.normalized()), thetas)
+    return verify_spectrum_poly(a.elements, thetas)
 
 
 def construct_spectrum(a: IntSet) -> RationalSpectrum | None:
@@ -202,25 +204,19 @@ def _find_clique(adj: list[int], target: int) -> list[int] | None:
     return None
 
 
-def spectrum_search_poly(p: IntPoly) -> RationalSpectrum | None:
-    """Complete search for a full rational spectrum of a nonnegative polynomial.
+def spectrum_search_poly(exps: Sequence[int]) -> RationalSpectrum | None:
+    """Complete search for a full rational spectrum of the 0/1 polynomial p with exponents exps.
 
-    A full spectrum has p(1) - 1 theta values, the target size.
-    Candidates are exactly the fractions in (0, 1) whose reduced
-    denominator indexes a cyclotomic divisor of p (their difference with
-    the implicit 0 must already be a root), and two candidates are
-    compatible when their difference mod 1 is a root; a spectrum is a
-    clique of the target size.  None means no full rational spectrum
-    exists.
+    A full spectrum has p(1) - 1 = len(exps) - 1 theta values, the
+    target size.  Candidates are exactly the fractions in (0, 1) whose
+    reduced denominator indexes a cyclotomic divisor of p (their
+    difference with the implicit 0 must already be a root), and two
+    candidates are compatible when their difference mod 1 is a root; a
+    spectrum is a clique of the target size.  None means no full
+    rational spectrum exists.
     """
-    target = p(1) - 1
-    if target < 0:
-        raise ValueError(f"a spectrum needs p(1) >= 1, got {target + 1}")
-    if target == 0:
-        return RationalSpectrum(())
-    if any(c < 0 for c in p.coeffs):
-        raise ValueError("polynomial must have nonnegative coefficients")
-    index_set = set(divisors_of_poly(p).indices)
+    target = len(exps) - 1
+    index_set = set(divisors_of_poly(exps).indices)
     candidates = sorted(
         {Fraction(k, s) for s in index_set for k in range(1, s)
          if Fraction(k, s).denominator in index_set}
@@ -237,11 +233,11 @@ def spectrum_search_poly(p: IntPoly) -> RationalSpectrum | None:
     if clique is None:
         return None
     spectrum = RationalSpectrum(candidates[v] for v in clique)
-    if not verify_spectrum_poly(p, spectrum.thetas):
+    if not verify_spectrum_poly(exps, spectrum.thetas):
         raise CertificateError(f"searched spectrum {spectrum} failed verification")
     return spectrum
 
 
 def spectrum_search(a: IntSet) -> RationalSpectrum | None:
     """Search for a full rational spectrum of the set (target size #A - 1)."""
-    return spectrum_search_poly(char_poly(a.normalized()))
+    return spectrum_search_poly(a.elements)

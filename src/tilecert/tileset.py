@@ -14,7 +14,8 @@ conditions:
         also divides the characteristic polynomial.
 
 Both conditions, the inventory, and tiling itself are invariant under
-translating the set, so predicates normalize the minimum to 0 first.
+translating the set: the inventory reads the elements relative to their
+minimum, and the tiler normalizes the minimum to 0 first.
 """
 
 from __future__ import annotations
@@ -137,7 +138,7 @@ def _mann_divisors(a: int, k: int, bound: int) -> tuple[int, ...]:
     return tuple(divisors_totient_at_most(list(exps.items()), bound))
 
 
-def _candidate_indices(exps: list[int]) -> tuple[bool, Sequence[int]]:
+def _candidate_indices(exps: Sequence[int]) -> tuple[bool, Sequence[int]]:
     """Whether p is dense, and a complete ascending list of the s that can index a divisor.
 
     Reads the exponents only.  See ``divisors_of_poly`` for the rule
@@ -166,13 +167,16 @@ def _dense_rows(span: int) -> tuple[tuple[int, int, int], ...]:
     return tuple((s, cyclotomic_at_one(s), cyclotomic_at_minus_one(s)) for s in totient_at_most(span))
 
 
-def divisors_of_poly(p: IntPoly) -> CycloDivisors:
-    """Inventory of the nonzero polynomial p: each s >= 2 whose cyclotomic polynomial divides p.
+def divisors_of_poly(exps: Sequence[int]) -> CycloDivisors:
+    """Inventory of the 0/1 polynomial p with exponents exps: each s >= 2 with Phi_s | p.
 
-    Let p have k nonzero terms, the lowest at x**e.  Dividing by x**e
-    moves no root of unity, so a divisor of index s has degree
-    phi(s) <= span, the degree of p / x**e, and every exponent below is
-    taken relative to e.  Two complete candidate lists are known:
+    ``exps`` is a set's elements, ascending and distinct, with any
+    minimum e; the polynomial is never built.  Let p have k terms.
+    Dividing by x**e moves no root of unity, so a translate of the set
+    has the same inventory and needs no normalizing: a divisor of index
+    s has degree phi(s) <= span, the degree of p / x**e, and every
+    exponent below is taken relative to e.  Two complete candidate
+    lists are known:
 
     * Sparse p: if the cyclotomic polynomial of index s divides p, then
       s divides P_k * a for some nonzero relative exponent a, where P_k
@@ -208,17 +212,17 @@ def divisors_of_poly(p: IntPoly) -> CycloDivisors:
     the quotient has integer coefficients, so Phi_s(m) divides p(m).
 
     * At m = 1 and m = -1, on both paths and before anything else:
-      p(1) and p(-1) are computed once, and ``arith`` gives Phi_s(1)
-      (p for s = p**a, else 1) and Phi_s(-1) (0 for s = 2, p for
-      s = 2 * p**a with p odd, 2 for s = 2**a with a >= 2, else 1) in
-      O(1).  For a set, p(1) is its size, so every prime power of a
-      prime not dividing the size goes here.  Where the reject at 2
-      follows, both values come from one memoized row per span
-      (``_dense_rows``).
+      p(1) = k, and p(-1) is k less twice the number of odd exponents
+      (up to the sign (-1)**e, which no divisibility test reads); and
+      ``arith`` gives Phi_s(1) (p for s = p**a, else 1) and Phi_s(-1)
+      (0 for s = 2, p for s = 2 * p**a with p odd, 2 for s = 2**a with
+      a >= 2, else 1) in O(1).  So every prime power of a prime not
+      dividing the size goes here.  Where the reject at 2 follows, both
+      values come from one memoized row per span (``_dense_rows``).
     * At m = 2, on the dense path where it is cheaper: p(2) / 2**e,
-      the sum of the c_i * 2**(i - e) (for a 0/1 polynomial the bitmask
-      of the set), is computed once, and one big-int remainder by
-      Phi_s(2) (``arith.cyclotomic_at_two``) decides each candidate.
+      the sum of the 2**(a - e) over the exponents a (the bitmask of
+      the translated set), is computed once, and one big-int remainder
+      by Phi_s(2) (``arith.cyclotomic_at_two``) decides each candidate.
       Phi_s(2) is odd, so the power of 2 dropped with x**e changes
       nothing.  Building Phi_s(2) and the remainder both take bit
       operations that grow with span * phi(s); the reject below takes
@@ -233,34 +237,29 @@ def divisors_of_poly(p: IntPoly) -> CycloDivisors:
       cyclotomic polynomials of the divisors d of s, but of no
       x**d - 1 with d < s, which the cyclotomic polynomial of index d
       divides; so w is a root of Phi_s mod q, and a nonzero p(w) mod q
-      rules s out.
+      rules s out.  The unit w**e is divided out, as x**e is above.
 
     Every s that survives is decided by the exact division of
     ``divides_cyclotomic``, so the result equals the unfiltered scan
-    over every s with phi(s) <= deg p.
+    over every s with phi(s) <= span.
     """
-    deg = p.degree()
-    if deg is None:
-        raise ValueError("polynomial must be nonzero")
-    coeffs = p.coeffs
-    exps = [i for i, c in enumerate(coeffs) if c]
-    at_one = sum(coeffs)
-    at_minus_one = sum(coeffs[::2]) - sum(coeffs[1::2])
+    k, low = len(exps), exps[0]
+    span = exps[-1] - low
+    at_minus_one = k - 2 * sum(e & 1 for e in exps)
     dense, candidates = _candidate_indices(exps)
-    k, span = len(exps), exps[-1] - exps[0]
     at_two_reject = dense and span * span <= (1 << 17) * k
     if at_two_reject:
-        at_two = sum(coeffs[i] << (i - exps[0]) for i in exps)
+        at_two = sum(1 << (e - low) for e in exps)
         rows = _dense_rows(span)
     else:
-        # nonzero terms in ascending order as (gap to the previous exponent, coefficient),
-        # so that p(w) mod q is one chained pass of multiplications
-        terms = [(i - j, coeffs[i]) for i, j in zip(exps, [0] + exps)]
+        # gaps between successive exponents, the first taken as 0, so that
+        # p(w) / w**e mod q is one chained pass of multiplications
+        gaps = [b - a for a, b in zip((low, *exps), exps)]
         rows = ((s, cyclotomic_at_one(s), cyclotomic_at_minus_one(s)) for s in candidates)
     found = []
     for s, one, minus_one in rows:
         # Phi_s(-1) is 0 only for s = 2, and 0 divides only 0
-        if at_one % one or (at_minus_one % minus_one if minus_one else at_minus_one):
+        if k % one or (at_minus_one % minus_one if minus_one else at_minus_one):
             continue
         if at_two_reject:
             if at_two % cyclotomic_at_two(s):
@@ -268,12 +267,12 @@ def divisors_of_poly(p: IntPoly) -> CycloDivisors:
         else:
             q, w = root_of_unity_mod_prime(s)
             x, value = 1, 0
-            for gap, c in terms:
+            for gap in gaps:
                 x = x * pow(w, gap, q) % q
-                value += c * x
+                value += x
             if value % q:
                 continue
-        if divides_cyclotomic(p, s):
+        if divides_cyclotomic(exps, s):
             found.append(s)
     return CycloDivisors(found)
 
@@ -285,7 +284,7 @@ def cyclotomic_divisors(a: IntSet) -> CycloDivisors:
     Memoized for the one set under analysis: its stages consult its
     inventory in turn, and no pipeline comes back to a set it has left.
     """
-    return divisors_of_poly(char_poly(a.normalized()))
+    return divisors_of_poly(a.elements)
 
 
 def check_t1(a: IntSet) -> bool:

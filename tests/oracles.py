@@ -13,14 +13,21 @@ two-factor condition: it expands products through binomial passes and
 decides every tower, two factors included, by one peel.  The dense
 product and the two-factor divisibility condition live here as the
 oracles those are compared with.
+
+The library's root tests read a set's elements as the exponents of its
+0/1 polynomial and never build it densely.  The dense division they
+replaced, which takes any nonzero integer polynomial, is kept here as
+their oracle, with the degree and the evaluation at an integer point
+that only tests read.
 """
 
 from __future__ import annotations
 
 import math
+import random
 
-from tilecert.arith import divisors, factorize
-from tilecert.intpoly import IntPoly
+from tilecert.arith import divisors, euler_phi, factorize
+from tilecert.intpoly import IntPoly, cyclotomic
 from tilecert.products import ProductSpec
 
 
@@ -87,3 +94,56 @@ def two_factor_condition(spec: ProductSpec) -> bool:
     (m1, n1), (m2, n2) = spec.factors
     d = math.gcd(m1, m2)
     return (m2 // d) % n1 == 0 or (m1 // d) % n2 == 0
+
+
+def degree(p: IntPoly) -> int | None:
+    """Degree, or None for the zero polynomial."""
+    return len(p.coeffs) - 1 if p.coeffs else None
+
+
+def evaluate(p: IntPoly, x: int) -> int:
+    """The value at an integer point (Horner)."""
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def dense_divides_cyclotomic(p: IntPoly, s: int) -> bool:
+    """True iff the s-th cyclotomic polynomial divides the nonzero dense polynomial p.
+
+    The division the library ran on a set's dense characteristic
+    polynomial: p is folded mod x**s - 1 when deg p >= s, summing its
+    coefficients in each residue class, and a zero fold means x**s - 1
+    itself divides p.
+    """
+    if s < 1:
+        raise ValueError("cyclotomic index must be >= 1")
+    deg = degree(p)
+    if deg is None:
+        raise ValueError("dividend must be nonzero")
+    if s > 2 * deg * deg or euler_phi(s) > deg:
+        return False
+    if deg >= s:
+        p = IntPoly([sum(p.coeffs[r::s]) for r in range(s)])
+        if p.is_zero():
+            return True
+    return p.divrem(cyclotomic(s))[1].is_zero()
+
+
+def tower_set(rng: random.Random, top: int, stride: tuple[int, ...] = (1, 1, 2, 3)) -> list[int]:
+    """Elements of a product of progression polynomials in tower order, span at most top.
+
+    Each factor's step is the step times the length of the factor
+    before it, times a number drawn from stride, so the elements built
+    so far lie below it and the product is the direct sum of the
+    progressions: a 0/1 polynomial, and a tile with a rich inventory.
+    With top >= 9 at least one factor fits.
+    """
+    elems, m = [0], rng.randint(1, 3)
+    while True:
+        n = rng.randint(2, 4)
+        if elems[-1] + m * (n - 1) > top:
+            return elems
+        elems = sorted(e + j * m for e in elems for j in range(n))
+        m *= n * rng.choice(stride)

@@ -1,9 +1,10 @@
 """The inventory checked against the code it replaced.
 
 The library takes its inventory candidates from Mann's theorem on sparse
-polynomials, enumerates every s with phi(s) <= deg directly on dense
-ones, and builds each cyclotomic polynomial from sparse binomial factors.
-The slow paths it replaced stay here as oracles:
+sets, enumerates every s with phi(s) <= span directly on dense ones,
+reads each set's 0/1 polynomial from its elements, and builds each
+cyclotomic polynomial from sparse binomial factors.  The slow paths it
+replaced stay here as oracles:
 
 * the totient scan, which tests every s with phi(s) <= deg, with the
   modular reject in front of the division;
@@ -11,7 +12,8 @@ The slow paths it replaced stay here as oracles:
   phi(s) <= deg (complete because phi(s) > sqrt(s/2) for s >= 2);
 * the recursive cyclotomic, which divides x**s - 1 by the cyclotomic
   polynomial of every proper divisor of s;
-* the unfiltered inventory, which divides by every candidate instead of
+* the unfiltered inventory, which divides the dense polynomial
+  (``oracles.dense_divides_cyclotomic``) by every candidate instead of
   first rejecting those whose cyclotomic value at 1, -1 or 2 does not
   divide p's, or with p(w) != 0 mod q;
 * evaluation of the built cyclotomic polynomial, for the closed forms
@@ -23,7 +25,7 @@ import random
 
 import pytest
 
-from oracles import poly_mul, poly_sum, x_pow_minus_one
+from oracles import degree, dense_divides_cyclotomic, evaluate, tower_set, x_pow_minus_one
 from tilecert.arith import (
     cyclotomic_at_minus_one,
     cyclotomic_at_one,
@@ -57,8 +59,12 @@ def old_candidates(deg: int) -> list[int]:
 
 
 def old_divisor_indices(p: IntPoly) -> list[int]:
-    return [s for s in old_candidates(p.degree())
+    return [s for s in old_candidates(degree(p))
             if p.divrem(old_cyclotomic(s))[1].is_zero()]
+
+
+def inventory(exps) -> list[int]:
+    return list(divisors_of_poly(exps).indices)
 
 
 def test_totient_enumeration_matches_quadratic_scan():
@@ -79,25 +85,27 @@ def test_cyclotomic_matches_recursive_division():
 
 
 def test_inventory_matches_quadratic_scan_on_random_polynomials():
+    # 0/1 polynomials of degree at most 60: random sets, and tower products
+    # so that the inventory is not empty; a third are shifted off 0
     rng = random.Random(2024)
+    nonempty = 0
     for trial in range(60):
         if trial % 2:
-            # random integer coefficients, negative ones and ones above 1 included
-            deg = rng.randint(1, 60)
-            p = IntPoly([rng.randint(-3, 3) for _ in range(deg)] + [rng.choice((-2, -1, 1, 2, 3))])
+            top = rng.randint(1, 50)
+            exps = sorted({0, top} | set(rng.sample(range(1, top), rng.randint(0, top - 1))))
         else:
-            # a signed cofactor times cyclotomic factors, so that the inventory is not empty
-            p = IntPoly([rng.randint(-2, 2) for _ in range(rng.randint(0, 6))] + [rng.randint(1, 2)])
-            while True:
-                factor = cyclotomic(rng.randint(2, 40))
-                if p.degree() + factor.degree() > 60:
-                    break
-                p = poly_mul(p, factor)
-        assert list(divisors_of_poly(p).indices) == old_divisor_indices(p), p
+            exps = tower_set(rng, 50)
+        shift = rng.randint(1, 10) if trial % 3 == 0 else 0
+        exps = [e + shift for e in exps]
+        found = inventory(exps)
+        assert found == old_divisor_indices(char_poly(IntSet(exps))), exps
+        nonempty += bool(found)
+    assert nonempty >= 30, nonempty
 
 
-def unfiltered_divisor_indices(p: IntPoly) -> list[int]:
-    return [s for s in totient_at_most(p.degree()) if divides_cyclotomic(p, s)]
+def unfiltered_divisor_indices(exps) -> list[int]:
+    p = char_poly(IntSet(exps))
+    return [s for s in totient_at_most(degree(p)) if dense_divides_cyclotomic(p, s)]
 
 
 def test_root_of_unity_mod_prime_has_exact_order():
@@ -118,8 +126,8 @@ def test_cyclotomic_values_match_evaluation():
     # the value at 1 is checked by test_intpoly.py::test_cyclotomic_at_one
     for s in range(1, 401):
         phi = cyclotomic(s)
-        assert cyclotomic_at_minus_one(s) == phi(-1), s
-        assert cyclotomic_at_two(s) == phi(2), s
+        assert cyclotomic_at_minus_one(s) == evaluate(phi, -1), s
+        assert cyclotomic_at_two(s) == evaluate(phi, 2), s
 
 
 @pytest.mark.parametrize("helper", [cyclotomic_at_one, cyclotomic_at_minus_one, cyclotomic_at_two])
@@ -129,46 +137,48 @@ def test_cyclotomic_values_reject_indices_below_one(helper):
             helper(s)
 
 
-def divisions_tried(monkeypatch, p: IntPoly) -> tuple[list[int], list[int]]:
-    """The inventory of p, and the indices that reached the exact division."""
+def divisions_tried(monkeypatch, exps) -> tuple[list[int], list[int]]:
+    """The inventory of the set, and the indices that reached the exact division."""
     tried = []
 
-    def recorder(poly, s):
+    def recorder(exps, s):
         tried.append(s)
-        return divides_cyclotomic(poly, s)
+        return divides_cyclotomic(exps, s)
 
     monkeypatch.setattr(tileset, "divides_cyclotomic", recorder)
-    return list(divisors_of_poly(p).indices), tried
+    return inventory(exps), tried
 
 
 def test_filter_false_positive_is_decided_by_division(monkeypatch):
-    # Sparse path: 1 + x - x**4 has 3 terms and span 4 = 2 * pi(3).  The
+    # Sparse path: {0, 1, 10} has 3 elements and span 10 >= 2 * pi(3).  The
     # twelfth cyclotomic polynomial x**4 - x**2 + 1 takes the value 1 at 1
-    # and -1, and 1 + w - w**4 = 0 (mod q) at its root w mod q, so s = 12
-    # passes every reject; it does not divide, and the division says so.
-    p = IntPoly([1, 1, 0, 0, -1])
-    exps = [0, 1, 4]
-    assert tileset._candidate_indices(exps) == (False, [2, 3, 4, 6, 8, 12])
-    q, w = root_of_unity_mod_prime(12)
-    assert p(w) % q == 0
+    # and -1, and its root mod 13 is w = 2, where 1 + 2 + 2**10 = 1027 =
+    # 79 * 13; so s = 12 passes every reject.  It does not divide, and the
+    # division says so.
+    exps = [0, 1, 10]
+    assert tileset._candidate_indices(exps) == (False, [2, 3, 4, 5, 6, 10, 12, 15, 20, 30])
+    assert root_of_unity_mod_prime(12) == (13, 2)
+    assert (1 + 2 + 2**10) % 13 == 0
     assert cyclotomic_at_one(12) == cyclotomic_at_minus_one(12) == 1
-    assert not divides_cyclotomic(p, 12)
-    found, tried = divisions_tried(monkeypatch, p)
+    assert not divides_cyclotomic(exps, 12)
+    found, tried = divisions_tried(monkeypatch, exps)
     assert 12 in tried and 12 not in found
-    assert found == unfiltered_divisor_indices(p)
+    assert found == unfiltered_divisor_indices(exps)
 
 
 def test_dense_false_positive_is_decided_by_division(monkeypatch):
-    # Dense path: (x - 2)(x**2 - 1) has 4 terms and span 3 < 3 * pi(4), and
-    # it vanishes at 1, -1 and 2, so every candidate passes every reject.
-    # Only the second cyclotomic polynomial x + 1 divides it.
-    p = poly_mul(IntPoly([-2, 1]), IntPoly([-1, 0, 1]))
-    assert p.coeffs == (2, -1, -2, 1)
-    assert p(1) == p(-1) == p(2) == 0
-    assert tileset._candidate_indices([0, 1, 2, 3]) == (True, (2, 3, 4, 6))
-    found, tried = divisions_tried(monkeypatch, p)
-    assert tried == [2, 3, 4, 6]
-    assert found == [2] == unfiltered_divisor_indices(p)
+    # Dense path: {0, 1, 2, 5} has 4 elements and span 5 < 3 * pi(4).  At
+    # s = 12 its values pass every reject: A(1) = 4 and A(-1) = 0 against
+    # Phi_12(1) = Phi_12(-1) = 1, and A(2) = 39 = 3 * Phi_12(2).  Only the
+    # second cyclotomic polynomial x + 1 divides A.
+    exps = [0, 1, 2, 5]
+    a = char_poly(IntSet(exps))
+    assert (evaluate(a, 1), evaluate(a, -1), evaluate(a, 2)) == (4, 0, 39)
+    assert cyclotomic_at_two(12) == 13 and cyclotomic_at_one(12) == cyclotomic_at_minus_one(12) == 1
+    assert tileset._candidate_indices(exps) == (True, (2, 3, 4, 5, 6, 8, 10, 12))
+    found, tried = divisions_tried(monkeypatch, exps)
+    assert 12 in tried
+    assert found == [2] == unfiltered_divisor_indices(exps)
 
 
 @pytest.mark.parametrize("step, mod_q", [(29, False), (31, True)])
@@ -190,7 +200,7 @@ def test_dense_reject_follows_its_cost(monkeypatch, step, mod_q):
     monkeypatch.setattr(tileset, "cyclotomic_at_two", counted(cyclotomic_at_two))
     exps = list(range(0, 151 * step, step))
     assert tileset._candidate_indices(exps)[0]
-    found = list(divisors_of_poly(char_poly(IntSet(exps))).indices)
+    found = inventory(exps)
     assert found == [s for s in divisors(151 * step) if step % s]
     assert (calls[root_of_unity_mod_prime] > 0, calls[cyclotomic_at_two] > 0) == (mod_q, not mod_q)
 
@@ -198,35 +208,30 @@ def test_dense_reject_follows_its_cost(monkeypatch, step, mod_q):
 def test_inventory_matches_unfiltered_scan_on_seeded_sets():
     rng = random.Random(31)
     for deg in (50, 150, 300):
-        elems = {0, deg} | {x for x in range(1, deg) if rng.random() < 0.3}
-        p = char_poly(IntSet(elems))
-        assert list(divisors_of_poly(p).indices) == unfiltered_divisor_indices(p), deg
+        exps = sorted({0, deg} | {x for x in range(1, deg) if rng.random() < 0.3})
+        assert inventory(exps) == unfiltered_divisor_indices(exps), deg
 
 
 def test_inventory_matches_unfiltered_scan_on_dense_inputs():
-    # seeded inputs on the dense path, where p(2) decides the rejects
-    # that p(1) and p(-1) leave: 0/1 sets, some shifted off 0, and signed
-    # polynomials, some times cyclotomic factors so that the inventory
-    # is not empty
+    # seeded sets on the dense path, where A(2) decides the rejects that
+    # A(1) and A(-1) leave: random sets and tower products, some shifted
+    # off 0
     rng = random.Random(97)
     checked = nonempty = 0
-    for trial in range(240):
+    for trial in range(260):
         if trial % 2:
             span = rng.randint(3, 60)
             k = rng.randint(min(span + 1, 4 + span // 3), span + 1)
-            low = rng.choice((0, 0, rng.randint(1, 20)))
-            elems = {0, span} | set(rng.sample(range(1, span), k - 2))
-            p = char_poly(IntSet(low + x for x in elems))
+            exps = sorted({0, span} | set(rng.sample(range(1, span), k - 2)))
         else:
-            p = IntPoly([rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(rng.randint(2, 12))])
-            while rng.random() < 0.7 and p.degree() < 50:
-                p = poly_mul(p, cyclotomic(rng.randint(2, 30)))
-            p = IntPoly([0] * rng.choice((0, 0, rng.randint(1, 10))) + list(p.coeffs))
-        dense, _ = tileset._candidate_indices([i for i, c in enumerate(p.coeffs) if c])
+            exps = tower_set(rng, rng.randint(12, 60))
+        low = rng.choice((0, 0, rng.randint(1, 20)))
+        exps = [low + x for x in exps]
+        dense, _ = tileset._candidate_indices(exps)
         if not dense:
             continue
-        found = list(divisors_of_poly(p).indices)
-        assert found == unfiltered_divisor_indices(p), p
+        found = inventory(exps)
+        assert found == unfiltered_divisor_indices(exps), exps
         checked += 1
         nonempty += bool(found)
     assert checked >= 200 and nonempty >= 100, (checked, nonempty)
@@ -237,18 +242,18 @@ def test_inventory_of_initial_segments():
     # cyclotomic polynomials of the divisors d >= 2 of n.  The unfiltered
     # scan runs on a few n only, to keep the suite fast.
     for n in range(2, 129):
-        p = char_poly(IntSet(range(n)))
-        assert list(divisors_of_poly(p).indices) == divisors(n)[1:], n
+        exps = range(n)
+        assert inventory(exps) == divisors(n)[1:], n
         if n in (60, 128):
-            assert list(divisors_of_poly(p).indices) == unfiltered_divisor_indices(p), n
+            assert inventory(exps) == unfiltered_divisor_indices(exps), n
 
 
-def totient_scan_divisor_indices(p: IntPoly) -> list[int]:
-    terms = [(e, c) for e, c in enumerate(p.coeffs) if c]
+def totient_scan_divisor_indices(exps) -> list[int]:
+    p = char_poly(IntSet(exps))
     found = []
-    for s in totient_at_most(p.degree()):
+    for s in totient_at_most(degree(p)):
         q, w = root_of_unity_mod_prime(s)
-        if sum(c * pow(w, e, q) for e, c in terms) % q == 0 and divides_cyclotomic(p, s):
+        if sum(pow(w, e, q) for e in exps) % q == 0 and dense_divides_cyclotomic(p, s):
             found.append(s)
     return found
 
@@ -266,41 +271,36 @@ def test_mann_candidates_match_totient_scan_on_seeded_sets():
     rng = random.Random(61)
     nonempty = 0
     for trial in range(600):
-        p = char_poly(random_set(rng))
-        found = list(divisors_of_poly(p).indices)
-        assert found == totient_scan_divisor_indices(p), p
+        exps = random_set(rng).elements
+        found = inventory(exps)
+        assert found == totient_scan_divisor_indices(exps), exps
         if trial % 10 == 0:
-            assert found == unfiltered_divisor_indices(p), p
+            assert found == unfiltered_divisor_indices(exps), exps
         nonempty += bool(found)
     assert nonempty >= 150
 
 
-def test_mann_candidates_on_signed_polynomials_with_zero_constant_term():
-    # x**e times a signed polynomial, so the lowest exponent is e > 0 and
-    # coefficients may be negative or above 1: half are sparse multiples of
-    # x**n - 1 (every Phi_d with d | n divides), half signed cofactors times
-    # cyclotomic polynomials
+def test_mann_candidates_on_shifted_sets():
+    # sets on the Mann path whose lowest element is e > 0, so that the
+    # dense oracle has a zero constant term: half tower products with wide
+    # strides (every one a tile), half random sparse sets
     rng = random.Random(73)
-    nonempty = 0
+    checked = nonempty = 0
     for trial in range(200):
         if trial % 2:
-            n = rng.randint(2, 60)
-            exps = rng.sample(range(0, 60), rng.randint(1, 3))
-            cofactor = IntPoly()
-            for e in exps:
-                cofactor = poly_sum(cofactor, IntPoly([0] * e + [rng.choice((-3, -2, -1, 1, 2))]))
-            if cofactor.is_zero():
-                continue
-            p = poly_mul(cofactor, x_pow_minus_one(n))
+            exps = tower_set(rng, 60, stride=(2, 3, 4, 5))
         else:
-            p = IntPoly([rng.randint(-2, 2) for _ in range(rng.randint(0, 6))] + [rng.randint(1, 2)])
-            for _ in range(rng.randint(0, 3)):
-                p = poly_mul(p, cyclotomic(rng.randint(2, 30)))
-        p = IntPoly([0] * rng.randint(1, 20) + list(p.coeffs))
-        found = list(divisors_of_poly(p).indices)
-        assert found == unfiltered_divisor_indices(p), p
+            k = rng.randint(2, 6)
+            exps = sorted({0} | set(rng.sample(range(1, 80), k - 1)))
+        shift = rng.randint(1, 20)
+        exps = [e + shift for e in exps]
+        if tileset._candidate_indices(exps)[0]:
+            continue
+        found = inventory(exps)
+        assert found == unfiltered_divisor_indices(exps), exps
+        checked += 1
         nonempty += bool(found)
-    assert nonempty >= 150
+    assert checked >= 150 and nonempty >= 80, (checked, nonempty)
 
 
 GATE_SETS = [
@@ -311,24 +311,24 @@ GATE_SETS = [
 
 @pytest.mark.parametrize("elements", GATE_SETS)
 def test_inventory_of_gate_sets_matches_unfiltered_scan(elements):
-    # char_poly keeps the offset, so {3,7,10,14} has a zero constant term
-    p = char_poly(IntSet(elements))
-    assert list(divisors_of_poly(p).indices) == unfiltered_divisor_indices(p)
+    # the dense oracle keeps the offset, so {3,7,10,14} has a zero constant term
+    assert inventory(elements) == unfiltered_divisor_indices(elements)
 
 
 def test_inventory_of_sparse_set_of_degree_1200():
     # The unfiltered scan takes seconds here.  1 + z + z**1200 = 0 with
     # |z| = 1 makes 1, z, z**1200 the three cube roots of unity, so z has
     # order 3 and 1200 = 2 (mod 3), which is false: the inventory is empty.
-    p = char_poly(IntSet((0, 1, 1200)))
-    assert list(divisors_of_poly(p).indices) == totient_scan_divisor_indices(p) == []
+    exps = (0, 1, 1200)
+    assert inventory(exps) == totient_scan_divisor_indices(exps) == []
 
 
+# ``poly`` holds the exponents of a 0/1 polynomial
 @pytest.mark.parametrize("poly, candidates", [
-    (char_poly(IntSet((0, 1, 240))), 34),
-    (char_poly(IntSet((0, 1, 200000))), 94),
-    (char_poly(IntSet(range(16))), 25),
-    (IntPoly([0, 0, 0, 0, 0, 3]), 0),
+    ((0, 1, 240), 34),
+    ((0, 1, 200000), 94),
+    (tuple(range(16)), 25),
+    ((5,), 0),
 ])
 def test_candidate_counts(monkeypatch, poly, candidates):
     # the candidates as the scan takes them, before any reject: the Mann list
@@ -344,8 +344,8 @@ def test_candidate_counts(monkeypatch, poly, candidates):
         return dense, found
 
     monkeypatch.setattr(tileset, "_candidate_indices", recorder)
-    found = list(divisors_of_poly(poly).indices)
+    found = inventory(poly)
     assert len(seen) == candidates
     assert seen == sorted(set(seen))
-    if sum(1 for c in poly.coeffs if c) == 1:
+    if len(poly) == 1:
         assert found == []

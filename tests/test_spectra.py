@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from tilecert import spectra
+from oracles import degree, tower_set
+from tilecert import spectra, tileset
 from tilecert.families import subset_facts
 from tilecert.intpoly import IntPoly
 from tilecert.spectra import (
@@ -18,31 +19,21 @@ from tilecert.spectra import (
     verify_spectrum,
     verify_spectrum_poly,
 )
-from tilecert.tileset import CertificateError, IntSet, char_poly
+from tilecert.tileset import CertificateError, IntSet, cyclotomic_divisors
 
 F = Fraction
 
 
-def nonzero_terms(p: IntPoly) -> int:
-    """The orthogonality bound on N for any N-spectrum of a nonnegative polynomial.
-
-    The exponential vectors attached to spectrum values are mutually
-    orthogonal in a space whose dimension is the number of nonzero
-    coefficients, so no larger spectrum exists.
-    """
-    return sum(1 for c in p.coeffs if c)
-
-
 def test_is_root_of_examples():
-    assert is_root_of(IntPoly([1, 1]), F(1, 2))
-    assert is_root_of(IntPoly([1, 1, 1, 1]), F(1, 4))
-    assert not is_root_of(IntPoly([1, 1, 0, 1, 1]), F(1, 3))
+    assert is_root_of((0, 1), F(1, 2))
+    assert is_root_of((0, 1, 2, 3), F(1, 4))
+    assert not is_root_of((0, 1, 3, 4), F(1, 3))
+    # a translate has the same roots on the unit circle
+    assert is_root_of((5, 6), F(1, 2))
     # delta = 0 asks whether 1 is a root; never for a 0/1 polynomial
-    assert not is_root_of(IntPoly([1, 1]), F(0))
-    assert is_root_of(IntPoly([-1, 0, 1]), F(0))
-    assert not is_root_of(IntPoly([3]), F(0))
+    assert not is_root_of((0, 1), F(0))
     with pytest.raises(ValueError):
-        is_root_of(IntPoly([1, 1]), F(3, 2))
+        is_root_of((0, 1), F(3, 2))
 
 
 def test_rational_spectrum_validation():
@@ -83,9 +74,9 @@ def _record_root_tests(monkeypatch) -> list[int]:
     asked = []
     real = spectra.is_root_of
 
-    def recording(p, delta):
+    def recording(exps, delta):
         asked.append(delta.denominator)
-        return real(p, delta)
+        return real(exps, delta)
 
     monkeypatch.setattr(spectra, "is_root_of", recording)
     return asked
@@ -93,7 +84,7 @@ def _record_root_tests(monkeypatch) -> list[int]:
 
 def test_verify_rejects_duplicates_and_zero(monkeypatch):
     asked = _record_root_tests(monkeypatch)
-    p = char_poly(IntSet([0, 1]))
+    p = (0, 1)
     assert not verify_spectrum_poly(p, [F(1, 2), F(1, 2)])
     assert not verify_spectrum_poly(p, [F(0)])
     assert not verify_spectrum_poly(p, [F(1)])
@@ -105,11 +96,12 @@ def test_verify_rejects_duplicates_and_zero(monkeypatch):
 
 
 def test_verify_rejects_a_single_failing_denominator():
-    # (1+x)(1+x+x^2) has the roots of orders 2 and 3 but not those of
-    # order 6; of the pairs drawn from {0, 1/2, 1/3} only 1/2 - 1/3 fails
+    # (1+x+x^2)(1+x^5), the set {0,1,2,5,6,7}, has the roots of orders 2
+    # and 3 but not those of order 6; of the pairs drawn from {0, 1/2, 1/3}
+    # only 1/2 - 1/3 fails
     thetas = [F(1, 2), F(1, 3)]
-    assert not verify_spectrum_poly(IntPoly([1, 2, 2, 1]), thetas)
-    assert verify_spectrum_poly(char_poly(IntSet(range(6))), thetas)
+    assert not verify_spectrum_poly((0, 1, 2, 5, 6, 7), thetas)
+    assert verify_spectrum_poly(range(6), thetas)
 
 
 def test_progression_spectrum_family():
@@ -155,21 +147,14 @@ def test_search_agrees_with_construction_size():
             assert verify_spectrum(a, found)
 
 
-def test_repeated_coefficient_gate():
-    # (1+x)**2 = 1 + 2x + x^2 sums to 4 but has only 3 nonzero terms,
-    # so no full spectrum can exist, and the search finds none
-    square = IntPoly([1, 2, 1])
-    assert spectrum_search_poly(square) is None
-    quartic = IntPoly([1, 0, 2, 0, 1])  # (1 + x^2)**2
-    assert spectrum_search_poly(quartic) is None
-
-
 def test_verified_size_within_orthogonality_bound():
+    # the exponential vectors attached to the values of an N-spectrum of a
+    # set A are mutually orthogonal in a space of dimension #A, so N <= #A
     for combo in itertools.combinations(range(8), 3):
         a = IntSet(combo)
         found = spectrum_search(a)
         if found is not None:
-            assert len(found) + 1 <= nonzero_terms(char_poly(a))
+            assert len(found) + 1 <= a.size
 
 
 def test_oversized_root_grid_fails_verification():
@@ -179,19 +164,16 @@ def test_oversized_root_grid_fails_verification():
     # orthogonality bound anyway.
     a = IntSet([0, 2])
     grid = [F(j, 4) for j in range(1, 4)]
-    assert not verify_spectrum_poly(char_poly(a), grid)
-    assert len(grid) + 1 > nonzero_terms(char_poly(a))
+    assert not verify_spectrum_poly(a.elements, grid)
+    assert len(grid) + 1 > a.size
     # the correct spectrum keeps only j = 1..p-1
     assert verify_spectrum(a, RationalSpectrum([F(1, 4)]))
 
 
 def test_search_poly_trivial_target():
-    # the target size is p(1) - 1: 0 for the constant 1, -1 for zero
-    assert spectrum_search_poly(IntPoly([1])).thetas == ()
-    with pytest.raises(ValueError):
-        spectrum_search_poly(IntPoly())
-    with pytest.raises(ValueError, match="nonnegative"):
-        spectrum_search_poly(IntPoly([2, -1, 1]))
+    # the target size is the number of exponents less 1: 0 for one term
+    assert spectrum_search_poly((0,)).thetas == ()
+    assert spectrum_search_poly((7,)).thetas == ()
 
 
 def test_search_is_deterministic():
@@ -206,8 +188,7 @@ def test_candidate_set_is_exactly_the_single_roots():
     # difference with the implicit 0); check the equivalence explicitly
     from tilecert.tileset import divisors_of_poly
 
-    a = IntSet([0, 1, 8, 9])
-    p = char_poly(a)
+    p = (0, 1, 8, 9)
     index_set = set(divisors_of_poly(p).indices)
     for q in range(2, 40):
         for k in range(1, q):
@@ -229,24 +210,52 @@ def test_subset_facts_runs_the_spectrum_check(monkeypatch):
 
 
 def test_verifier_polynomial_does_not_grow_with_offset(monkeypatch, capsys):
-    # the roots on the unit circle do not move under a shift, so the verifier
-    # works on the normalized set; at offset 10**6 the raw polynomial has
-    # degree 1,000,009
+    # the roots on the unit circle do not move under a shift, and the
+    # verifier folds the elements mod each denominator; at offset 10**6 the
+    # raw polynomial has degree 1,000,009, and no division sees it
     import tilecert.cli as cli
 
     degrees = []
+    original = IntPoly.divrem
 
-    def recorder(p, thetas):
-        degrees.append(p.degree())
-        return verify_spectrum_poly(p, thetas)
+    def recorder(self, divisor):
+        degrees.append(degree(self))
+        return original(self, divisor)
 
-    monkeypatch.setattr(spectra, "verify_spectrum_poly", recorder)
+    monkeypatch.setattr(IntPoly, "divrem", recorder)
     shifted = IntSet(10**6 + x for x in (0, 1, 8, 9))
     assert construct_spectrum(shifted) == construct_spectrum(IntSet([0, 1, 8, 9]))
     assert cli.main(["spectrum", "verify", ",".join(map(str, shifted.elements)),
                      "--theta", "1/16,1/2,9/16"]) == 0
     assert '"verified": true' in capsys.readouterr().out
-    assert degrees == [9, 9, 9]
+    assert degrees and max(degrees) < 16, degrees
+
+
+def test_spectra_agree_on_far_translates(monkeypatch):
+    # A + 10**6 has the polynomial x**(10**6) * A(x), and x is prime to every
+    # cyclotomic polynomial: the inventory, both producers and the verifier
+    # read the same answers off both sets, and none builds either polynomial
+    monkeypatch.setattr(tileset, "char_poly", None)
+    rng = random.Random(43)
+    spectral = 0
+    for trial in range(60):
+        if trial % 2:
+            a = IntSet(tower_set(rng, 40))
+        else:
+            a = IntSet(rng.sample(range(24), rng.randint(2, 6)))
+        moved = IntSet(x + 10**6 for x in a.elements)
+        assert cyclotomic_divisors(moved) == cyclotomic_divisors(a), a
+        built, found = construct_spectrum(a), spectrum_search(a)
+        assert construct_spectrum(moved) == built, a
+        assert spectrum_search(moved) == found, a
+        for spectrum in (built, found):
+            if spectrum is not None:
+                assert verify_spectrum(moved, spectrum.thetas)
+                spectral += 1
+        # and a grid of twelfths gets one verdict on both
+        thetas = [F(j, 12) for j in rng.sample(range(1, 12), min(a.size - 1, 11))]
+        assert verify_spectrum(moved, thetas) == verify_spectrum(a, thetas), (a, thetas)
+    assert spectral >= 40, spectral
 
 
 def test_constructed_spectrum_of_wrong_size_raises(monkeypatch):
@@ -258,7 +267,7 @@ def test_constructed_spectrum_of_wrong_size_raises(monkeypatch):
 
 
 def test_unverified_searched_spectrum_raises(monkeypatch):
-    monkeypatch.setattr(spectra, "verify_spectrum_poly", lambda p, thetas: False)
+    monkeypatch.setattr(spectra, "verify_spectrum_poly", lambda exps, thetas: False)
     with pytest.raises(CertificateError):
         spectrum_search(IntSet([0, 1]))
 

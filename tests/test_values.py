@@ -11,7 +11,7 @@ from tilecert.intpoly import IntPoly
 from tilecert.products import ProductSpec
 from tilecert.spectra import RationalSpectrum
 from tilecert.tiler import TilingCertificate
-from tilecert.tileset import IntSet, char_poly, divisors_of_poly
+from tilecert.tileset import IntSet, divisors_of_poly
 from tilecert.values import frozen
 
 # One sample per value class, built twice per test so that equal objects are
@@ -26,7 +26,7 @@ SAMPLES = {
         "IntSet(elements=(0, 1, 8, 9))",
     ),
     "CycloDivisors": (
-        lambda: divisors_of_poly(char_poly(IntSet([0, 1, 8, 9]))),
+        lambda: divisors_of_poly(IntSet([0, 1, 8, 9]).elements),
         "CycloDivisors(indices=(2, 16), prime_powers=(2, 16), by_prime=((2, (2, 16)),))",
     ),
     "TilingCertificate": (
