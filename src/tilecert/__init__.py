@@ -8,16 +8,11 @@ arithmetic-progression polynomials via the tower condition and Keller
 violation witnesses.
 """
 
-from .intpoly import (
-    IntPoly,
-    cyclotomic,
-    divides_cyclotomic,
-)
+from .intpoly import divides_cyclotomic
 from .tileset import (
     CertificateError,
     CycloDivisors,
     IntSet,
-    char_poly,
     check_t1,
     check_t2,
     cyclotomic_divisors,
@@ -39,12 +34,10 @@ from .spectra import (
     spectrum_search,
     spectrum_search_poly,
     verify_spectrum,
-    verify_spectrum_poly,
 )
 from .products import (
     ProductSpec,
     check_keller_violation,
-    is_zero_one,
     keller_violation_witness,
     product_poly,
     product_set,
@@ -61,7 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CertificateError",
     "CycloDivisors",
-    "IntPoly",
     "IntSet",
     "PeriodCapExceeded",
     "ProductSpec",
@@ -69,20 +61,17 @@ __all__ = [
     "TilingCertificate",
     "analyze_set",
     "brute_force_tiling",
-    "char_poly",
     "check_keller_violation",
     "check_t1",
     "check_t2",
     "classify_prime_power_cyclotomic",
     "construct_spectrum",
-    "cyclotomic",
     "cyclotomic_divisors",
     "divides_cyclotomic",
     "divisors_of_poly",
     "find_tiling",
     "granville_bound",
     "is_root_of",
-    "is_zero_one",
     "keller_violation_witness",
     "power_sums",
     "product_poly",
@@ -94,6 +83,5 @@ __all__ = [
     "tiling_report",
     "tower_condition",
     "verify_spectrum",
-    "verify_spectrum_poly",
     "verify_tiling",
 ]

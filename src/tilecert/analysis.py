@@ -1,4 +1,4 @@
-"""Power sums of polynomial roots, and the prime-power cyclotomic pattern.
+"""Power sums of the roots of a set's polynomial, and the prime-power cyclotomic pattern.
 
 For a monic integer polynomial of degree M with coefficients b_0..b_M,
 Newton's identities give the power sums S_j of its roots exactly:
@@ -10,6 +10,13 @@ The j > M line is the standard homogeneous extension, needed to compare
 against independent oracles beyond the degree, such as the Ramanujan
 sums the tests keep.
 
+For the 0/1 polynomial A(x) of a set A with maximum M, b_{M-i} is 1
+exactly when M - i is an element, so each identity reads only the
+distances d = M - e from the maximum to the other elements e: step j
+adds S_{j-d} for every such d < j, and j when d = j.  A translate only
+adds roots at 0, which add nothing, and the cost follows the number of
+power sums and the number of elements, not the span.
+
 The classifier at the bottom recognizes arithmetic progressions
 {0, t, 2t, ..., (p-1)t} with p prime and t a power of p -- exactly the
 sets whose characteristic polynomial is a prime-power cyclotomic
@@ -18,28 +25,31 @@ polynomial, of index p**alpha with t = p**(alpha-1).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from .arith import is_prime
-from .intpoly import IntPoly
 from .tileset import IntSet
 
 
-def power_sums(p: IntPoly, count: int) -> tuple[int, ...]:
-    """(S_1, ..., S_count) for a monic polynomial of degree >= 1, via Newton's identities.
+def power_sums(exps: Sequence[int], count: int) -> tuple[int, ...]:
+    """(S_1, ..., S_count) for the roots of the 0/1 polynomial with exponents exps.
 
-    S_j sits at index j - 1.
+    ``exps`` is a set's elements: ascending and distinct, at least one,
+    with any minimum.  S_j sits at index j - 1.
     """
-    if not p.is_monic() or len(p.coeffs) < 2:
-        raise ValueError("polynomial must be monic of degree >= 1")
     if count < 1:
         raise ValueError("count must be positive")
-    b = p.coeffs
-    deg = len(b) - 1
+    top = exps[-1]
+    distances = [top - e for e in reversed(exps[:-1])]
     sums: list[int] = []
     for j in range(1, count + 1):
-        acc = j * b[deg - j] if j <= deg else 0
-        for i in range(1, min(j, deg + 1)):
-            if j - i >= 1:
-                acc += b[deg - i] * sums[j - i - 1]
+        acc = 0
+        for d in distances:
+            if d >= j:
+                if d == j:
+                    acc += j
+                break
+            acc += sums[j - d - 1]
         sums.append(-acc)
     return tuple(sums)
 

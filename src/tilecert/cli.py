@@ -26,7 +26,7 @@ from .report import (
     tiling_report,
 )
 from .spectra import construct_spectrum, parse_thetas, spectrum_search, verify_spectrum
-from .tileset import IntSet, char_poly
+from .tileset import IntSet
 from .products import ProductSpec
 
 DEFAULT_LCAP = 1_000_000
@@ -197,7 +197,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                 raise ValueError("spectrum verify needs --theta")
             thetas = [t % 1 for t in parse_thetas(args.theta)]
             payload["thetas"] = [format_fraction(t) for t in thetas]
-            payload["root_conditions"] = verify_spectrum(a, thetas)
+            payload["root_conditions"] = verify_spectrum(a.elements, thetas)
             payload["size_ok"] = len(thetas) == a.size - 1
             payload["verified"] = payload["root_conditions"] and payload["size_ok"]
         _emit(payload, args.human)
@@ -212,7 +212,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         a = IntSet.parse(args.set)
         if args.count < 1:
             raise ValueError("--count must be positive")
-        series = power_sums(char_poly(a.normalized()), args.count)
+        series = power_sums(a.elements, args.count)
         _emit({"command": "powersums", "set": list(a.elements),
                "count": args.count, "power_sums": list(series)}, args.human)
         return 0

@@ -1,14 +1,15 @@
-"""Exact integer polynomial arithmetic and cyclotomic polynomials.
+"""Cyclotomic divisibility of a set's 0/1 polynomial, in exact integer arithmetic.
 
-The library multiplies and divides polynomials only by binomials
+The library multiplies and divides coefficient lists only by binomials
 x**d - 1, one linear pass each (``times_binomial``, ``over_binomial``):
 the cyclotomic polynomials and the products of progression polynomials
-are built from them, and long division (``IntPoly.divrem``) by a monic
-cyclotomic polynomial decides divisibility.  There is no general
-multiplication.
+(``products.product_poly``) are built from them, and long division
+(``IntPoly.divrem``) by a monic cyclotomic polynomial decides
+divisibility.  There is no general multiplication.
 
-A polynomial is stored as a dense tuple of integer coefficients indexed
-by exponent: ``IntPoly([1, 0, 1])`` is 1 + x**2.  The canonical form has
+``IntPoly`` is the polynomial of that one test, and no other module
+imports it.  It stores a dense tuple of integer coefficients indexed by
+exponent: ``IntPoly([1, 0, 1])`` is 1 + x**2.  The canonical form has
 no trailing zero coefficient and the zero polynomial is the empty tuple.
 Coefficients are Python ints and therefore never overflow; this matters
 because cyclotomic coefficients do eventually exceed 1 in magnitude (the

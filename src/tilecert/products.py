@@ -6,9 +6,12 @@ A product spec is a list of pairs (m_i, n_i), each describing the factor
       = (x**(m_i*n_i) - 1) / (x**m_i - 1),
 
 the characteristic polynomial of the progression {0, m_i, ..., (n_i-1)*m_i}.
-The product is expanded from the right-hand side: each factor is one
-pass multiplying by x**(m_i*n_i) - 1 and one pass dividing exactly by
-x**m_i - 1, so no general polynomial multiplication is needed.
+The product is expanded from the right-hand side into a plain tuple of
+coefficients: each factor is one pass multiplying by x**(m_i*n_i) - 1
+and one pass dividing exactly by x**m_i - 1, so no general polynomial
+multiplication is needed.  The coefficients are nonnegative, so the
+product is a 0/1 polynomial, the polynomial of a set, exactly when none
+exceeds 1.
 
 Whether the expanded product tiles the integers is decided by the tower
 condition: some ordering of the factors satisfies, for every position k,
@@ -39,7 +42,7 @@ import math
 from collections.abc import Iterable, Sequence
 from operator import index
 
-from .intpoly import IntPoly, over_binomial, times_binomial
+from .intpoly import over_binomial, times_binomial
 from .tileset import CertificateError, IntSet
 from .values import frozen
 
@@ -97,25 +100,24 @@ class ProductSpec:
         return ",".join(f"{m}:{n}" for m, n in self.factors)
 
 
-def product_poly(spec: ProductSpec) -> IntPoly:
-    """Exact expanded product of all factors (x**(m*n) - 1) / (x**m - 1)."""
+def product_poly(spec: ProductSpec) -> tuple[int, ...]:
+    """Coefficients of the expanded product of all factors (x**(m*n) - 1) / (x**m - 1).
+
+    ``coeffs[i]`` is the coefficient of x**i.  Every factor has
+    nonnegative coefficients, so the product does too.
+    """
     coeffs = [1]
     for m, n in spec.factors:
         coeffs = over_binomial(times_binomial(coeffs, m * n), m)
-    return IntPoly(coeffs)
-
-
-def is_zero_one(p: IntPoly) -> bool:
-    """True iff every coefficient is 0 or 1."""
-    return all(c in (0, 1) for c in p.coeffs)
+    return tuple(coeffs)
 
 
 def product_set(spec: ProductSpec) -> IntSet | None:
     """The exponent set of the product, when the product is 0/1; else None."""
-    p = product_poly(spec)
-    if not is_zero_one(p):
+    coeffs = product_poly(spec)
+    if any(c > 1 for c in coeffs):
         return None
-    return IntSet(i for i, c in enumerate(p.coeffs) if c)
+    return IntSet(i for i, c in enumerate(coeffs) if c)
 
 
 def _peel(spec: ProductSpec) -> tuple[list[int], list[int], list[list[bool]]]:

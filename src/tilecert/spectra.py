@@ -99,13 +99,17 @@ def is_root_of(exps: Sequence[int], delta: Fraction) -> bool:
     return divides_cyclotomic(exps, delta.denominator)
 
 
-def verify_spectrum_poly(exps: Sequence[int], thetas: Sequence[Fraction]) -> bool:
+def verify_spectrum(exps: Sequence[int], thetas: Sequence[Fraction]) -> bool:
     """Check the root condition for every pair drawn from thetas plus 0.
 
-    Values are taken mod 1 first; a repeated value (including a theta
-    congruent to 0) violates distinctness and yields False.  Only the
-    root conditions are checked here -- whether len(thetas) + 1 matches
-    the number of exponents is the caller's concern.
+    ``exps`` is a set's elements, read as the exponents of its 0/1
+    polynomial with no normalizing: a shift multiplies the polynomial by
+    a power of x, which is prime to every cyclotomic polynomial.
+    ``thetas`` is any sequence of fractions.  Values are taken mod 1
+    first; a repeated value (including a theta congruent to 0) violates
+    distinctness and yields False.  Only the root conditions are checked
+    here -- whether len(thetas) + 1 matches the number of exponents is
+    the caller's concern.
     """
     pts = [Fraction(0)] + [Fraction(t) % 1 for t in thetas]
     if len(set(pts)) != len(pts):
@@ -114,22 +118,6 @@ def verify_spectrum_poly(exps: Sequence[int], thetas: Sequence[Fraction]) -> boo
         if not is_root_of(exps, (u - v) % 1):
             return False
     return True
-
-
-def verify_spectrum(a: IntSet, thetas: Sequence[Fraction]) -> bool:
-    """Check spectrum values against the set's characteristic polynomial.
-
-    ``thetas`` is any sequence of fractions; as in ``verify_spectrum_poly``,
-    they are reduced mod 1 and a repeated value fails.
-
-    The elements are read as they are, with no normalizing: a shift
-    multiplies the polynomial by a power of x, which is prime to every
-    cyclotomic polynomial and only rotates the fold.  Each root
-    condition is decided by ``divides_cyclotomic``, which folds the
-    exponents mod s first, so every division has a dividend of degree
-    below s, built in time that follows #A, whatever the diameter.
-    """
-    return verify_spectrum_poly(a.elements, thetas)
 
 
 def construct_spectrum(a: IntSet) -> RationalSpectrum | None:
@@ -161,7 +149,7 @@ def construct_spectrum(a: IntSet) -> RationalSpectrum | None:
     spectrum = RationalSpectrum(Fraction(x, denominator) for x in sums)
     if len(spectrum) != a.size - 1:
         raise CertificateError(f"spectrum formula for {a} produced {len(spectrum)} values")
-    if not verify_spectrum(a, spectrum.thetas):
+    if not verify_spectrum(a.elements, spectrum.thetas):
         raise CertificateError(f"spectrum formula for {a} failed verification")
     return spectrum
 
@@ -233,7 +221,7 @@ def spectrum_search_poly(exps: Sequence[int]) -> RationalSpectrum | None:
     if clique is None:
         return None
     spectrum = RationalSpectrum(candidates[v] for v in clique)
-    if not verify_spectrum_poly(exps, spectrum.thetas):
+    if not verify_spectrum(exps, spectrum.thetas):
         raise CertificateError(f"searched spectrum {spectrum} failed verification")
     return spectrum
 

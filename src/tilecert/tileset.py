@@ -37,7 +37,7 @@ from .arith import (
     root_of_unity_mod_prime,
     totient_at_most,
 )
-from .intpoly import IntPoly, divides_cyclotomic
+from .intpoly import divides_cyclotomic
 from .values import frozen
 
 
@@ -119,14 +119,6 @@ class CycloDivisors:
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "prime_powers", tuple(powers))
         object.__setattr__(self, "by_prime", tuple((q, tuple(g)) for q, g in sorted(groups.items())))
-
-
-def char_poly(a: IntSet) -> IntPoly:
-    """The 0/1 characteristic polynomial with exponent set a."""
-    coeffs = [0] * (a.elements[-1] + 1)
-    for x in a.elements:
-        coeffs[x] = 1
-    return IntPoly(coeffs)
 
 
 @lru_cache(maxsize=4096)

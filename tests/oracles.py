@@ -6,7 +6,12 @@ s-th roots of unity, computed exactly from the Moebius function:
     c_s(j) = sum over d | gcd(j, s) of d * mu(s / d).
 
 Power sums of a product of cyclotomic polynomials are sums of these, so
-they check Newton's identities in ``tilecert.analysis`` independently.
+they check Newton's identities independently: the library's
+``analysis.power_sums`` on sets whose polynomial is such a product, and
+the general ``newton_power_sums`` here on any monic integer polynomial.
+The library runs the identities on a set's elements only; the general
+form, with the dense ``char_poly`` of a set, is kept here for the tests
+that need a polynomial that is not 0/1 or a dense one to divide.
 
 The library has no general polynomial multiplication and no separate
 two-factor condition: it expands products through binomial passes and
@@ -94,6 +99,35 @@ def two_factor_condition(spec: ProductSpec) -> bool:
     (m1, n1), (m2, n2) = spec.factors
     d = math.gcd(m1, m2)
     return (m2 // d) % n1 == 0 or (m1 // d) % n2 == 0
+
+
+def char_poly(exps) -> IntPoly:
+    """The dense 0/1 polynomial with the given exponents."""
+    coeffs = [0] * (max(exps) + 1)
+    for x in exps:
+        coeffs[x] = 1
+    return IntPoly(coeffs)
+
+
+def newton_power_sums(p: IntPoly, count: int) -> tuple[int, ...]:
+    """(S_1, ..., S_count) for a monic polynomial of degree >= 1, via Newton's identities.
+
+    S_j sits at index j - 1.  Beyond the degree M the identities are
+    homogeneous: S_j + b_{M-1}*S_{j-1} + ... + b_0*S_{j-M} = 0.
+    """
+    if not p.is_monic() or len(p.coeffs) < 2:
+        raise ValueError("polynomial must be monic of degree >= 1")
+    if count < 1:
+        raise ValueError("count must be positive")
+    b = p.coeffs
+    deg = len(b) - 1
+    sums: list[int] = []
+    for j in range(1, count + 1):
+        acc = j * b[deg - j] if j <= deg else 0
+        for i in range(1, min(j, deg + 1)):
+            acc += b[deg - i] * sums[j - i - 1]
+        sums.append(-acc)
+    return tuple(sums)
 
 
 def degree(p: IntPoly) -> int | None:

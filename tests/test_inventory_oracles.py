@@ -25,7 +25,7 @@ import random
 
 import pytest
 
-from oracles import degree, dense_divides_cyclotomic, evaluate, tower_set, x_pow_minus_one
+from oracles import char_poly, degree, dense_divides_cyclotomic, evaluate, tower_set, x_pow_minus_one
 from tilecert.arith import (
     cyclotomic_at_minus_one,
     cyclotomic_at_one,
@@ -39,7 +39,7 @@ from tilecert.arith import (
 )
 from tilecert.intpoly import IntPoly, cyclotomic, divides_cyclotomic
 from tilecert import tileset
-from tilecert.tileset import IntSet, char_poly, divisors_of_poly
+from tilecert.tileset import IntSet, divisors_of_poly
 
 _OLD_CYCLOTOMIC: dict[int, IntPoly] = {}
 
@@ -98,13 +98,13 @@ def test_inventory_matches_quadratic_scan_on_random_polynomials():
         shift = rng.randint(1, 10) if trial % 3 == 0 else 0
         exps = [e + shift for e in exps]
         found = inventory(exps)
-        assert found == old_divisor_indices(char_poly(IntSet(exps))), exps
+        assert found == old_divisor_indices(char_poly(exps)), exps
         nonempty += bool(found)
     assert nonempty >= 30, nonempty
 
 
 def unfiltered_divisor_indices(exps) -> list[int]:
-    p = char_poly(IntSet(exps))
+    p = char_poly(exps)
     return [s for s in totient_at_most(degree(p)) if dense_divides_cyclotomic(p, s)]
 
 
@@ -172,7 +172,7 @@ def test_dense_false_positive_is_decided_by_division(monkeypatch):
     # Phi_12(1) = Phi_12(-1) = 1, and A(2) = 39 = 3 * Phi_12(2).  Only the
     # second cyclotomic polynomial x + 1 divides A.
     exps = [0, 1, 2, 5]
-    a = char_poly(IntSet(exps))
+    a = char_poly(exps)
     assert (evaluate(a, 1), evaluate(a, -1), evaluate(a, 2)) == (4, 0, 39)
     assert cyclotomic_at_two(12) == 13 and cyclotomic_at_one(12) == cyclotomic_at_minus_one(12) == 1
     assert tileset._candidate_indices(exps) == (True, (2, 3, 4, 5, 6, 8, 10, 12))
@@ -249,7 +249,7 @@ def test_inventory_of_initial_segments():
 
 
 def totient_scan_divisor_indices(exps) -> list[int]:
-    p = char_poly(IntSet(exps))
+    p = char_poly(exps)
     found = []
     for s in totient_at_most(degree(p)):
         q, w = root_of_unity_mod_prime(s)

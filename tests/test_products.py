@@ -14,7 +14,6 @@ from tilecert.families import three_factor_specs, two_factor_specs
 from tilecert.products import (
     ProductSpec,
     check_keller_violation,
-    is_zero_one,
     keller_violation_witness,
     product_poly,
     product_set,
@@ -55,13 +54,14 @@ def test_spec_validation_and_parse():
 
 
 def test_product_poly_examples():
-    assert product_poly(ProductSpec([(1, 2)])) == IntPoly([1, 1])
-    assert product_poly(ProductSpec([(1, 2), (2, 2)])) == IntPoly([1, 1, 1, 1])
-    assert product_poly(ProductSpec([(1, 2), (3, 2)])) == IntPoly([1, 1, 0, 1, 1])
+    assert product_poly(ProductSpec([(1, 2)])) == (1, 1)
+    assert product_poly(ProductSpec([(1, 2), (2, 2)])) == (1, 1, 1, 1)
+    assert product_poly(ProductSpec([(1, 2), (3, 2)])) == (1, 1, 0, 1, 1)
+    assert product_poly(ProductSpec([(2, 2), (2, 2)])) == (1, 0, 2, 0, 1)
 
 
 def test_single_factor_product_is_progression():
-    assert product_poly(ProductSpec([(3, 3)])) == IntPoly([1, 0, 0, 1, 0, 0, 1])
+    assert product_poly(ProductSpec([(3, 3)])) == (1, 0, 0, 1, 0, 0, 1)
     assert progression_poly(3, 3) == IntPoly([1, 0, 0, 1, 0, 0, 1])
 
 
@@ -75,19 +75,16 @@ def test_product_poly_matches_dense_product():
     specs = [*two_factor_specs(8, 4), *three_factor_specs(6), *seeded]
     for spec in specs:
         dense = poly_mul(*(progression_poly(m, n) for m, n in spec.factors))
-        assert product_poly(spec) == dense, spec
+        assert product_poly(spec) == dense.coeffs, spec
     assert len(specs) == 576 + 1728 + 600
-
-
-def test_is_zero_one_examples():
-    assert is_zero_one(IntPoly([1, 1, 1, 1]))
-    assert not is_zero_one(IntPoly([1, 2, 1]))
-    assert not is_zero_one(product_poly(ProductSpec([(2, 2), (2, 2)])))
 
 
 def test_product_set():
     assert product_set(ProductSpec([(1, 2), (3, 2)])).elements == (0, 1, 3, 4)
+    assert product_set(ProductSpec([(1, 2), (2, 2)])).elements == (0, 1, 2, 3)
+    # (1 + x**2)**2 = 1 + 2x**2 + x**4 is not 0/1
     assert product_set(ProductSpec([(2, 2), (2, 2)])) is None
+    assert product_set(ProductSpec([(1, 3), (1, 2)])) is None
 
 
 def test_normalize_gcd_examples():
@@ -253,7 +250,7 @@ def test_zero_one_iff_no_small_lattice_collision():
             if any(w) and sum(a * b for a, b in zip(w, steps)) == 0:
                 collision = True
                 break
-        assert is_zero_one(product_poly(spec)) == (not collision), spec
+        assert (product_set(spec) is not None) == (not collision), spec
 
 
 def test_scaling_invariance():

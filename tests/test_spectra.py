@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import degree, tower_set
-from tilecert import spectra, tileset
+from tilecert import spectra
 from tilecert.families import subset_facts
 from tilecert.intpoly import IntPoly
 from tilecert.spectra import (
@@ -17,7 +17,6 @@ from tilecert.spectra import (
     spectrum_search,
     spectrum_search_poly,
     verify_spectrum,
-    verify_spectrum_poly,
 )
 from tilecert.tileset import CertificateError, IntSet, cyclotomic_divisors
 
@@ -59,14 +58,14 @@ def test_parse_thetas():
 
 
 def test_verify_spectrum_examples():
-    assert verify_spectrum(IntSet([0, 1]), RationalSpectrum([F(1, 2)]))
+    assert verify_spectrum((0, 1), RationalSpectrum([F(1, 2)]))
     # any sequence of fractions, reduced mod 1, a repeat failing
-    assert verify_spectrum(IntSet([0, 1]), [F(3, 2)])
-    assert not verify_spectrum(IntSet([0, 1]), (F(1, 2), F(-1, 2)))
+    assert verify_spectrum((0, 1), [F(3, 2)])
+    assert not verify_spectrum((0, 1), (F(1, 2), F(-1, 2)))
     # root conditions alone do not enforce the full size; the reporting
     # layer checks size separately
-    assert verify_spectrum(IntSet([0, 1, 2, 3]), RationalSpectrum([F(1, 2), F(1, 4)]))
-    assert not verify_spectrum(IntSet([0, 1, 3, 4]), RationalSpectrum([F(1, 3)]))
+    assert verify_spectrum((0, 1, 2, 3), RationalSpectrum([F(1, 2), F(1, 4)]))
+    assert not verify_spectrum((0, 1, 3, 4), RationalSpectrum([F(1, 3)]))
 
 
 def _record_root_tests(monkeypatch) -> list[int]:
@@ -85,14 +84,14 @@ def _record_root_tests(monkeypatch) -> list[int]:
 def test_verify_rejects_duplicates_and_zero(monkeypatch):
     asked = _record_root_tests(monkeypatch)
     p = (0, 1)
-    assert not verify_spectrum_poly(p, [F(1, 2), F(1, 2)])
-    assert not verify_spectrum_poly(p, [F(0)])
-    assert not verify_spectrum_poly(p, [F(1)])
-    assert not verify_spectrum_poly(p, [F(1, 2), F(3, 2)])
+    assert not verify_spectrum(p, [F(1, 2), F(1, 2)])
+    assert not verify_spectrum(p, [F(0)])
+    assert not verify_spectrum(p, [F(1)])
+    assert not verify_spectrum(p, [F(1, 2), F(3, 2)])
     # distinctness is checked before any root test
     assert asked == []
     # values are reduced mod 1 before checking
-    assert verify_spectrum_poly(p, [F(3, 2)])
+    assert verify_spectrum(p, [F(3, 2)])
 
 
 def test_verify_rejects_a_single_failing_denominator():
@@ -100,8 +99,8 @@ def test_verify_rejects_a_single_failing_denominator():
     # and 3 but not those of order 6; of the pairs drawn from {0, 1/2, 1/3}
     # only 1/2 - 1/3 fails
     thetas = [F(1, 2), F(1, 3)]
-    assert not verify_spectrum_poly((0, 1, 2, 5, 6, 7), thetas)
-    assert verify_spectrum_poly(range(6), thetas)
+    assert not verify_spectrum((0, 1, 2, 5, 6, 7), thetas)
+    assert verify_spectrum(range(6), thetas)
 
 
 def test_progression_spectrum_family():
@@ -110,7 +109,7 @@ def test_progression_spectrum_family():
         for n in range(2, 6):
             a = IntSet(range(0, n * m, m))
             spectrum = RationalSpectrum(F(k, n * m) for k in range(1, n))
-            assert verify_spectrum(a, spectrum), (m, n)
+            assert verify_spectrum(a.elements, spectrum), (m, n)
             assert len(spectrum) == a.size - 1
 
 
@@ -126,7 +125,7 @@ def test_construct_spectrum_size_and_verification():
         spectrum = construct_spectrum(a)
         if spectrum is not None:
             assert len(spectrum) == a.size - 1
-            assert verify_spectrum(a, spectrum)
+            assert verify_spectrum(a.elements, spectrum)
 
 
 def test_spectrum_search_examples():
@@ -144,7 +143,7 @@ def test_search_agrees_with_construction_size():
             found = spectrum_search(a)
             assert found is not None
             assert len(found) == len(built)
-            assert verify_spectrum(a, found)
+            assert verify_spectrum(a.elements, found)
 
 
 def test_verified_size_within_orthogonality_bound():
@@ -164,10 +163,10 @@ def test_oversized_root_grid_fails_verification():
     # orthogonality bound anyway.
     a = IntSet([0, 2])
     grid = [F(j, 4) for j in range(1, 4)]
-    assert not verify_spectrum_poly(a.elements, grid)
+    assert not verify_spectrum(a.elements, grid)
     assert len(grid) + 1 > a.size
     # the correct spectrum keeps only j = 1..p-1
-    assert verify_spectrum(a, RationalSpectrum([F(1, 4)]))
+    assert verify_spectrum(a.elements, RationalSpectrum([F(1, 4)]))
 
 
 def test_search_poly_trivial_target():
@@ -197,14 +196,14 @@ def test_candidate_set_is_exactly_the_single_roots():
 
 
 def test_unverified_constructed_spectrum_raises(monkeypatch):
-    monkeypatch.setattr(spectra, "verify_spectrum", lambda a, spectrum: False)
+    monkeypatch.setattr(spectra, "verify_spectrum", lambda exps, thetas: False)
     with pytest.raises(CertificateError):
         construct_spectrum(IntSet([0, 1]))
 
 
 def test_subset_facts_runs_the_spectrum_check(monkeypatch):
     # subset_facts trusts construct_spectrum's own verification, which must still run
-    monkeypatch.setattr(spectra, "verify_spectrum", lambda a, spectrum: False)
+    monkeypatch.setattr(spectra, "verify_spectrum", lambda exps, thetas: False)
     with pytest.raises(CertificateError):
         subset_facts(IntSet([0, 1]))
 
@@ -231,11 +230,10 @@ def test_verifier_polynomial_does_not_grow_with_offset(monkeypatch, capsys):
     assert degrees and max(degrees) < 16, degrees
 
 
-def test_spectra_agree_on_far_translates(monkeypatch):
+def test_spectra_agree_on_far_translates():
     # A + 10**6 has the polynomial x**(10**6) * A(x), and x is prime to every
     # cyclotomic polynomial: the inventory, both producers and the verifier
     # read the same answers off both sets, and none builds either polynomial
-    monkeypatch.setattr(tileset, "char_poly", None)
     rng = random.Random(43)
     spectral = 0
     for trial in range(60):
@@ -250,11 +248,11 @@ def test_spectra_agree_on_far_translates(monkeypatch):
         assert spectrum_search(moved) == found, a
         for spectrum in (built, found):
             if spectrum is not None:
-                assert verify_spectrum(moved, spectrum.thetas)
+                assert verify_spectrum(moved.elements, spectrum.thetas)
                 spectral += 1
         # and a grid of twelfths gets one verdict on both
         thetas = [F(j, 12) for j in rng.sample(range(1, 12), min(a.size - 1, 11))]
-        assert verify_spectrum(moved, thetas) == verify_spectrum(a, thetas), (a, thetas)
+        assert verify_spectrum(moved.elements, thetas) == verify_spectrum(a.elements, thetas), (a, thetas)
     assert spectral >= 40, spectral
 
 
@@ -267,7 +265,7 @@ def test_constructed_spectrum_of_wrong_size_raises(monkeypatch):
 
 
 def test_unverified_searched_spectrum_raises(monkeypatch):
-    monkeypatch.setattr(spectra, "verify_spectrum_poly", lambda exps, thetas: False)
+    monkeypatch.setattr(spectra, "verify_spectrum", lambda exps, thetas: False)
     with pytest.raises(CertificateError):
         spectrum_search(IntSet([0, 1]))
 
