@@ -19,7 +19,6 @@ from .tileset import (
     divisors_of_poly,
 )
 from .tiler import (
-    PeriodCapExceeded,
     TilingCertificate,
     brute_force_tiling,
     find_tiling,
@@ -55,7 +54,6 @@ __all__ = [
     "CertificateError",
     "CycloDivisors",
     "IntSet",
-    "PeriodCapExceeded",
     "ProductSpec",
     "RationalSpectrum",
     "TilingCertificate",

@@ -74,14 +74,6 @@ def is_prime(n: int) -> bool:
     return n >= 2 and factorize(n) == [(n, 1)]
 
 
-def prime_power(n: int) -> tuple[int, int] | None:
-    """Return (p, a) with n = p**a when n >= 2 is a prime power, else None."""
-    if n < 2:
-        return None
-    fac = factorize(n)
-    return fac[0] if len(fac) == 1 else None
-
-
 def primes_up_to(n: int) -> list[int]:
     """All primes p <= n, ascending (sieve of Eratosthenes)."""
     if n < 2:
@@ -210,8 +202,8 @@ def cyclotomic_at_one(s: int) -> int:
         raise ValueError("cyclotomic index must be >= 1")
     if s == 1:
         return 0
-    pp = prime_power(s)
-    return pp[0] if pp else 1
+    fac = factorize(s)
+    return fac[0][0] if len(fac) == 1 else 1
 
 
 def cyclotomic_at_minus_one(s: int) -> int:

@@ -76,24 +76,6 @@ class IntPoly:
                 rem[i] = 0
         return IntPoly(quot), IntPoly(rem[:dq])
 
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            sign = " + " if (c > 0 and parts) else " - " if (c < 0 and parts) else "" if c > 0 else "-"
-            mag = abs(c)
-            term = "" if i == 0 else "x" if i == 1 else f"x^{i}"
-            coeff = str(mag) if (mag != 1 or i == 0) else ""
-            parts.append(sign + coeff + term)
-        return "".join(parts)
-
-    def __repr__(self) -> str:
-        return f"IntPoly('{self}')"
-
 
 def times_binomial(coeffs: list[int], d: int) -> list[int]:
     """Coefficients of the product with x**d - 1: one pass, no general multiply."""

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .analysis import classify_prime_power_cyclotomic
 from .spectra import RationalSpectrum, construct_spectrum
 from .tileset import IntSet, check_t1, check_t2, cyclotomic_divisors
-from .tiler import PeriodCapExceeded, TilingCertificate, check_period_cap, find_tiling, granville_bound
+from .tiler import TilingCertificate, find_tiling, granville_bound
 from .products import (
     ProductSpec,
     keller_violation_witness,
@@ -48,18 +48,24 @@ def format_fraction(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+def _check_cap(cap: int | None) -> None:
+    """Raise ValueError for a period cap below 1; None means no cap."""
+    if cap is not None and cap < 1:
+        raise ValueError(f"period cap must be at least 1, got {cap}")
+
+
 def _tiling(a: IntSet, cap: int | None) -> dict:
     """The keys both set reports print side by side: bound, certificate, undecided.
 
-    With ``cap`` set and the Granville bound above it, the tiling search
-    is skipped and tiling_undecided is True.
+    This is the one place the period cap is applied: ``find_tiling``
+    runs only when the Granville bound is within ``cap``, and otherwise
+    tiling_undecided is True.
     """
-    out: dict = {"granville_bound": granville_bound(a), "tiling": None, "tiling_undecided": False}
-    try:
-        out["tiling"] = cert_dict(find_tiling(a, cap=cap))
-    except PeriodCapExceeded:
-        out["tiling_undecided"] = True
-    return out
+    _check_cap(cap)
+    bound = granville_bound(a)
+    undecided = cap is not None and bound > cap
+    tiling = None if undecided else cert_dict(find_tiling(a))
+    return {"granville_bound": bound, "tiling": tiling, "tiling_undecided": undecided}
 
 
 def analyze_set(a: IntSet, cap: int | None = None) -> dict:
@@ -68,7 +74,7 @@ def analyze_set(a: IntSet, cap: int | None = None) -> dict:
     With ``cap`` set and the Granville bound above it, the tiling is
     reported undecided instead of searched.
     """
-    inv = cyclotomic_divisors(a)
+    inv = cyclotomic_divisors(a.elements)
     return {
         "set": list(a.elements),
         "size": a.size,
@@ -103,7 +109,7 @@ def product_report(spec: ProductSpec, cap: int | None = None) -> dict:
     product has 0/1 coefficients, and stay null otherwise.  A cap below 1 is a
     ValueError for every spec.
     """
-    check_period_cap(cap)
+    _check_cap(cap)
     pset = product_set(spec)
     tower = tower_condition(spec)
     witness = None if tower is not None else keller_violation_witness(spec)

@@ -37,7 +37,6 @@ from .tileset import (
     check_t1,
     check_t2,
     cyclotomic_divisors,
-    divisors_of_poly,
 )
 from .values import frozen
 
@@ -138,7 +137,7 @@ def construct_spectrum(a: IntSet) -> RationalSpectrum | None:
     """
     if not (check_t1(a) and check_t2(a)):
         return None
-    inv = cyclotomic_divisors(a)
+    inv = cyclotomic_divisors(a.elements)
     denominator = math.prod(group[-1] for _, group in inv.by_prime)
     sums = {0}
     for p, group in inv.by_prime:
@@ -201,10 +200,11 @@ def spectrum_search_poly(exps: Sequence[int]) -> RationalSpectrum | None:
     difference with the implicit 0 must already be a root), and two
     candidates are compatible when their difference mod 1 is a root; a
     spectrum is a clique of the target size.  None means no full
-    rational spectrum exists.
+    rational spectrum exists.  The divisors come from the set's one
+    inventory memo, so a set just analyzed is not scanned again.
     """
     target = len(exps) - 1
-    index_set = set(divisors_of_poly(exps).indices)
+    index_set = set(cyclotomic_divisors(tuple(exps)).indices)
     candidates = sorted(
         {Fraction(k, s) for s in index_set for k in range(1, s)
          if Fraction(k, s).denominator in index_set}

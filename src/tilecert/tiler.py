@@ -8,10 +8,11 @@ tiles at all, it admits a tiling whose period divides
 
     L = lcm{ s : the s-th cyclotomic polynomial divides A(x) }.
 
-The searcher therefore walks the divisors of L in increasing order and
-runs an exact-cover backtracking search per period; a returned None is
-sound because of that bound.  A brute-force searcher tries every period
-in an explicit range instead.  It runs the same exact-cover search, so
+``find_tiling`` therefore walks every divisor of L in increasing order
+and runs an exact-cover backtracking search per period; a returned None
+is sound because of that bound.  A cap on L is the report's to apply, not
+the searcher's.  A brute-force searcher tries every period in an
+explicit range instead.  It runs the same exact-cover search, so
 agreement with it checks Granville's bound, not the search; the search
 itself is checked against the recursive exact cover it replaced, which
 the tests keep as an oracle.
@@ -30,19 +31,6 @@ from operator import index
 from .arith import divisors
 from .tileset import CertificateError, IntSet, cyclotomic_divisors
 from .values import frozen
-
-
-class PeriodCapExceeded(RuntimeError):
-    """Raised when the period bound L exceeds the configured cap.
-
-    Callers that set a cap treat this as "undecided": the search was not
-    run to completion, so neither tiling nor non-tiling is certified.
-    """
-
-    def __init__(self, bound: int, cap: int):
-        super().__init__(f"period bound {bound} exceeds cap {cap}")
-        self.bound = bound
-        self.cap = cap
 
 
 @frozen
@@ -69,17 +57,18 @@ class TilingCertificate:
 
 def granville_bound(a: IntSet) -> int:
     """lcm of all cyclotomic divisor indices of A(x); 1 when there are none."""
-    return math.lcm(*cyclotomic_divisors(a).indices)
+    return math.lcm(*cyclotomic_divisors(a.elements).indices)
 
 
 def _complement_search(residues: Sequence[int], period: int) -> tuple[int, ...] | None:
     """Exact-cover backtracking for a complement B containing 0.
 
-    ``residues`` are the distinct residues of the (normalized) set mod
-    ``period``, sorted, with 0 present.  Each step covers the smallest
-    uncovered residue r: the only usable shifts are b = r - a mod period
-    for a in the set, tried in the order of ``residues``, and placing b
-    either collides or covers #A fresh residues.  Seeding B with 0 loses
+    ``residues`` are the distinct residues mod ``period`` of the set's
+    elements less its minimum, sorted, with 0 present.  Each step covers
+    the smallest uncovered residue r: the only usable shifts are
+    b = r - a mod period for a in the set, tried in the order of
+    ``residues``, and placing b either collides or covers #A fresh
+    residues.  Seeding B with 0 loses
     no generality, because any tiling complement can be translated to
     contain 0.
 
@@ -129,17 +118,19 @@ def _complement_search(residues: Sequence[int], period: int) -> tuple[int, ...] 
 def search_periods(a: IntSet, periods: Iterable[int]) -> TilingCertificate | None:
     """Try each candidate period in the given order; first certificate wins.
 
-    Periods not divisible by #A, and periods where the set's residues
-    collide, cannot carry a tiling and are skipped without search.  The
-    certificate is verified before it is returned; a failure raises
-    ``CertificateError``.
+    The set is read relative to its minimum: the residues searched are
+    those of x - min(A), so a translate gets the same search and the same
+    certificate, which covers the translate as well.  Periods not
+    divisible by #A, and periods where the residues collide, cannot carry
+    a tiling and are skipped without search.  The certificate is verified
+    before it is returned; a failure raises ``CertificateError``.
     """
-    elems = a.normalized().elements
-    size = len(elems)
+    elems = a.elements
+    low, size = elems[0], len(elems)
     for period in periods:
         if period < size or period % size:
             continue
-        residues = sorted({x % period for x in elems})
+        residues = sorted({(x - low) % period for x in elems})
         if len(residues) != size:
             continue
         comp = _complement_search(residues, period)
@@ -151,34 +142,24 @@ def search_periods(a: IntSet, periods: Iterable[int]) -> TilingCertificate | Non
     return None
 
 
-def check_period_cap(cap: int | None) -> None:
-    """Raise ValueError for a period cap below 1; None means no cap."""
-    if cap is not None and cap < 1:
-        raise ValueError(f"period cap must be at least 1, got {cap}")
-
-
-def find_tiling(a: IntSet, cap: int | None = None) -> TilingCertificate | None:
-    """Search the divisors of the Granville bound L in increasing order.
+def find_tiling(a: IntSet) -> TilingCertificate | None:
+    """Search every divisor of the Granville bound L in increasing order.
 
     Returns the first certificate found, or None when no divisor of L
     works (which by Granville's bound means A does not tile at all).
-    With ``cap`` set, raises PeriodCapExceeded instead of searching when
-    L > cap; a cap below 1 is a ValueError.
     """
-    check_period_cap(cap)
-    bound = granville_bound(a)
-    if cap is not None and bound > cap:
-        raise PeriodCapExceeded(bound, cap)
-    return search_periods(a, divisors(bound))
+    return search_periods(a, divisors(granville_bound(a)))
 
 
 def brute_force_tiling(a: IntSet) -> TilingCertificate | None:
-    """Try every period up to 2*max(A) + 2.
+    """Try every period up to 2*(max(A) - min(A)) + 2.
 
     It shares the exact-cover search with find_tiling, so it cross-checks
-    Granville's period bound only.
+    Granville's period bound only.  The range reads the span, as the
+    search reads the elements relative to the minimum, so a translate
+    tries the same periods.
     """
-    return search_periods(a, range(1, 2 * a.elements[-1] + 3))
+    return search_periods(a, range(1, 2 * (a.elements[-1] - a.elements[0]) + 3))
 
 
 def verify_tiling(a: IntSet, cert: TilingCertificate) -> bool:

@@ -14,8 +14,8 @@ conditions:
         also divides the characteristic polynomial.
 
 Both conditions, the inventory, and tiling itself are invariant under
-translating the set: the inventory reads the elements relative to their
-minimum, and the tiler normalizes the minimum to 0 first.
+translating the set, and every stage reads the elements relative to
+their minimum: no translate is ever built.
 """
 
 from __future__ import annotations
@@ -70,13 +70,6 @@ class IntSet:
     @property
     def size(self) -> int:
         return len(self.elements)
-
-    def normalized(self) -> "IntSet":
-        """Translate so the minimum element becomes 0."""
-        if self.elements[0] == 0:
-            return self
-        m = self.elements[0]
-        return IntSet(x - m for x in self.elements)
 
     def __str__(self) -> str:
         return "{" + ",".join(str(x) for x in self.elements) + "}"
@@ -270,18 +263,19 @@ def divisors_of_poly(exps: Sequence[int]) -> CycloDivisors:
 
 
 @lru_cache(maxsize=1)
-def cyclotomic_divisors(a: IntSet) -> CycloDivisors:
-    """Cyclotomic divisor inventory of the set's characteristic polynomial.
+def cyclotomic_divisors(elements: tuple[int, ...]) -> CycloDivisors:
+    """Cyclotomic divisor inventory of the set with this element tuple.
 
-    Memoized for the one set under analysis: its stages consult its
-    inventory in turn, and no pipeline comes back to a set it has left.
+    Memoized on the tuple for the one set under analysis: its stages,
+    the clique search included, consult its inventory in turn, and no
+    pipeline comes back to a set it has left.
     """
-    return divisors_of_poly(a.elements)
+    return divisors_of_poly(elements)
 
 
 def check_t1(a: IntSet) -> bool:
     """Condition (T1): #A is the product of Phi_s(1) = p over inventory prime powers s = p**a."""
-    return math.prod(p ** len(g) for p, g in cyclotomic_divisors(a).by_prime) == a.size
+    return math.prod(p ** len(g) for p, g in cyclotomic_divisors(a.elements).by_prime) == a.size
 
 
 def check_t2(a: IntSet) -> bool:
@@ -294,7 +288,7 @@ def check_t2(a: IntSet) -> bool:
     s >= 2 whose cyclotomic polynomial divides (one of degree phi(s)
     above the polynomial's cannot), so no polynomial is divided here.
     """
-    inv = cyclotomic_divisors(a)
+    inv = cyclotomic_divisors(a.elements)
     indices = set(inv.indices)
     prime_groups = [g for _, g in inv.by_prime]
     for k in range(2, len(prime_groups) + 1):

@@ -13,12 +13,12 @@ def frozen(cls):
     """Make ``cls`` an immutable value class over its annotated fields.
 
     Two instances are equal, and hash alike, when they are of the same
-    class and their fields are equal.  ``repr`` lists the fields unless the
-    class defines its own.  Assigning or deleting any attribute raises
-    ``AttributeError``, so the class's own ``__init__``, which it must
-    define, sets its fields with ``object.__setattr__``; a class without
-    one is a ``TypeError``.  Instances keep their fields in their
-    ``__dict__``, so they pickle (for ``--workers``) as they are.
+    class and their fields are equal; ``repr`` lists the fields.
+    Assigning or deleting any attribute raises ``AttributeError``, so the
+    class's own ``__init__``, which it must define, sets its fields with
+    ``object.__setattr__``; a class without one is a ``TypeError``.
+    Instances keep their fields in their ``__dict__``, so they pickle
+    (for ``--workers``) as they are.
     """
     if "__init__" not in cls.__dict__:
         raise TypeError(f"{cls.__name__} must define its own __init__")
@@ -47,6 +47,5 @@ def frozen(cls):
     cls.__hash__ = __hash__
     cls.__setattr__ = __setattr__
     cls.__delattr__ = __delattr__
-    if "__repr__" not in cls.__dict__:
-        cls.__repr__ = __repr__
+    cls.__repr__ = __repr__
     return cls

@@ -167,7 +167,7 @@ def test_classify_agrees_with_characteristic_polynomial():
         for combo in itertools.combinations(range(10), size):
             a = IntSet(combo)
             result = classify_prime_power_cyclotomic(a)
-            poly = char_poly(a.normalized().elements)
+            poly = char_poly([x - combo[0] for x in combo])
             if result is None:
                 matches = any(
                     poly == cyclotomic(p**alpha)

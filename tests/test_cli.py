@@ -83,6 +83,19 @@ def test_spectrum_search(capsys):
     assert payload["spectrum"] is None
 
 
+def test_spectrum_search_memory_does_not_grow_with_span(capsys):
+    # the clique search reads the set's one inventory, built from the five
+    # elements; the dense polynomial of span 10**8 is never built
+    tracemalloc.start()
+    try:
+        payload = run_json(capsys, "spectrum", "search", "0,1,3,4,100000000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert payload["spectrum"] is None
+    assert peak < 5_000_000, peak
+
+
 def test_spectrum_verify(capsys):
     payload = run_json(capsys, "spectrum", "verify", "0,1,2,3", "--theta", "1/4,1/2,3/4")
     assert payload["verified"] is True

@@ -257,9 +257,3 @@ def test_divides_cyclotomic_factors_no_index_beyond_twice_the_squared_degree(mon
     assert factored == [2 * deg * deg for deg in range(1, 6)]
     # the bound itself, checked against the totient
     assert all(2 * arith.euler_phi(s) ** 2 >= s for s in range(1, 5000))
-
-
-def test_str_round_trip_like():
-    assert str(IntPoly([1, 0, -2, 1])) == "x^3 - 2x^2 + 1"
-    assert str(IntPoly()) == "0"
-    assert str(IntPoly([-1, 1])) == "x - 1"

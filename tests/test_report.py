@@ -3,9 +3,10 @@ import tracemalloc
 
 import pytest
 
-from tilecert import tiler
+from tilecert import report, tiler
 
 from tilecert.report import analyze_set, product_report, tiling_report
+from tilecert.tiler import find_tiling
 from tilecert.tileset import CertificateError, IntSet, cyclotomic_divisors
 from tilecert.products import ProductSpec
 
@@ -107,14 +108,33 @@ def test_unverified_tiling_raises(monkeypatch):
         analyze_set(IntSet([0, 2]))
 
 
+def test_period_cap(monkeypatch):
+    # the reports apply the cap: below the Granville bound the tiling is
+    # undecided and find_tiling never runs; at or above it, it is searched
+    a = IntSet([0, 1, 2, 3])  # bound 4, tiles with period 4; also the product 1:2,2:2
+    spec = ProductSpec.parse("1:2,2:2")
+    searched = []
+    monkeypatch.setattr(report, "find_tiling", lambda s: searched.append(s) or find_tiling(s))
+    for cap, undecided in ((2, True), (3, True), (4, False), (5, False), (None, False)):
+        searched.clear()
+        results = [analyze_set(a, cap=cap), tiling_report(a, cap=cap),
+                   product_report(spec, cap=cap)["set_report"]]
+        assert searched == ([] if undecided else [a] * 3), cap
+        for d in results:
+            assert d["granville_bound"] == 4
+            assert d["tiling_undecided"] is undecided, cap
+            assert d["tiling"] == (None if undecided else {"period": 4, "complement": [0]}), cap
+
+
 def test_reports_reject_period_cap_below_one():
     # 1:2,2:2 is 0/1, so its set report runs; 2:2,2:2 is not and has none
     specs = [ProductSpec.parse("1:2,2:2"), ProductSpec.parse("2:2,2:2")]
     for cap in (0, -5):
-        with pytest.raises(ValueError):
-            analyze_set(IntSet([0, 1]), cap=cap)
-        with pytest.raises(ValueError):
-            tiling_report(IntSet([0, 1, 8, 9]), cap=cap)
+        for a in (IntSet([0, 1]), IntSet([0, 1, 8, 9])):
+            with pytest.raises(ValueError):
+                analyze_set(a, cap=cap)
+            with pytest.raises(ValueError):
+                tiling_report(a, cap=cap)
         for spec in specs:
             with pytest.raises(ValueError):
                 product_report(spec, cap=cap)

@@ -7,7 +7,6 @@ from tilecert import tiler
 from tilecert.families import subset_facts, subsets
 from tilecert.tileset import CertificateError, IntSet
 from tilecert.tiler import (
-    PeriodCapExceeded,
     TilingCertificate,
     _complement_search,
     brute_force_tiling,
@@ -67,15 +66,18 @@ def test_certificates_verify_and_divide_bound():
 
 
 def test_translation_invariant_tiling():
+    # both searches read the elements relative to the minimum, so a
+    # translate, however far, gets the same search and the same certificate
     for combo in ((0, 1, 2, 3), (0, 2), (0, 1, 8, 9), (0, 1, 3)):
         base = IntSet(combo)
-        moved = IntSet(x + 5 for x in base.elements)
-        base_cert = find_tiling(base)
-        moved_cert = find_tiling(moved)
-        assert (base_cert is None) == (moved_cert is None)
-        if base_cert is not None:
-            # the same certificate covers the translated set
-            assert verify_tiling(moved, base_cert)
+        for offset in (5, 10**12):
+            moved = IntSet(x + offset for x in base.elements)
+            for search in (find_tiling, brute_force_tiling):
+                cert = search(base)
+                assert search(moved) == cert, (combo, offset, search)
+                if cert is not None:
+                    # the same certificate covers the translated set
+                    assert verify_tiling(moved, cert)
 
 
 def test_brute_force_agrees_on_small_family():
@@ -94,22 +96,6 @@ def test_search_periods_skips_impossible():
     # period 2 collides residues, period 3 is not divisible by the size
     assert search_periods(a, [2, 3]) is None
     assert search_periods(a, [2, 3, 4]) == TilingCertificate(4, [0, 1])
-
-
-def test_period_cap():
-    a = IntSet([0, 1, 2, 3])  # bound 4
-    with pytest.raises(PeriodCapExceeded):
-        find_tiling(a, cap=3)
-    assert find_tiling(a, cap=4) is not None
-    with pytest.raises(PeriodCapExceeded):
-        find_tiling(a, cap=2)
-
-
-def test_period_cap_below_one_rejected():
-    a = IntSet([0, 1, 8, 9])  # tiles with period 16
-    for cap in (0, -5):
-        with pytest.raises(ValueError):
-            find_tiling(a, cap=cap)
 
 
 def test_producers_raise_on_failed_verification(monkeypatch):
@@ -180,13 +166,13 @@ def _recursive_complement_search(residues, period):
 
 
 def _searches(a):
-    """Every (residues, period) the brute-force period range leaves to search."""
-    elems = a.normalized().elements
+    """Every (residues, period) with period up to 2*max(A) + 2 left to search."""
+    elems = a.elements
     size = len(elems)
-    for period in range(size, 2 * a.elements[-1] + 3):
+    for period in range(size, 2 * elems[-1] + 3):
         if period % size:
             continue
-        residues = sorted({x % period for x in elems})
+        residues = sorted({(x - elems[0]) % period for x in elems})
         if len(residues) == size:
             yield residues, period
 

@@ -19,7 +19,7 @@ from tilecert.values import frozen
 SAMPLES = {
     "IntPoly": (
         lambda: IntPoly([1, 0, -2, 1]),
-        "IntPoly('x^3 - 2x^2 + 1')",
+        "IntPoly(coeffs=(1, 0, -2, 1))",
     ),
     "IntSet": (
         lambda: IntSet([0, 1, 8, 9]),
