@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from tilecert import tiler
+from tilecert import report, tiler
 from tilecert.families import subset_facts, subsets
 from tilecert.tileset import CertificateError, IntSet
 from tilecert.tiler import (
@@ -96,6 +96,19 @@ def test_search_periods_skips_impossible():
     # period 2 collides residues, period 3 is not divisible by the size
     assert search_periods(a, [2, 3]) is None
     assert search_periods(a, [2, 3, 4]) == TilingCertificate(4, [0, 1])
+
+
+def test_period_cap_below_one_rejected(monkeypatch):
+    # the cap is the tiling report's to apply: a cap below 1 is an error
+    # before any period is searched, although {0,1,8,9} tiles with period 16
+    a = IntSet([0, 1, 8, 9])
+    searched = []
+    monkeypatch.setattr(report, "find_tiling", lambda s: searched.append(s) or find_tiling(s))
+    for cap in (0, -5):
+        with pytest.raises(ValueError):
+            report.tiling_report(a, cap=cap)
+    assert searched == []
+    assert report.tiling_report(a, cap=16)["tiling"] == {"period": 16, "complement": [0, 2, 4, 6]}
 
 
 def test_producers_raise_on_failed_verification(monkeypatch):
