@@ -1,12 +1,16 @@
 """Small exact number-theory helpers shared across the package.
 
 Everything here is integer-only.  Factorization is trial division up to
-the square root, which is enough for the set degrees and cyclotomic
-indices the package factors.  The bounded-totient enumerations
-(``totient_at_most`` and ``divisors_totient_at_most``) build their
-results from prime powers in one depth-first search, pruned by the
-running totient, and factorize nothing; the first sieves its primes
-once.
+the square root, so a large prime costs about half its square root in
+divisions.  That is not enough for every set: the inventory factors each
+difference from a set's minimum, and
+``tilecert analyze 0,1,3,4,1000000000000037`` (a prime difference near
+10**15) spends 6-7 s in ``factorize`` on a 2-core VM.  ROADMAP item G
+replaces it with Pollard's rho and a deterministic Miller-Rabin test.
+The bounded-totient enumerations (``totient_at_most`` and
+``divisors_totient_at_most``) build their results from prime powers in
+one depth-first search, pruned by the running totient, and factorize
+nothing; the first sieves its primes once.
 
 The inventory's rejects read the s-th cyclotomic polynomial Phi_s at
 a few integer points without building it.  Each is sound because Phi_s

@@ -47,6 +47,11 @@ def _period_cap(text: str) -> int:
     return _at_least_one(text, "period cap")
 
 
+def _power_sum_count(text: str) -> int:
+    """Parse --count: at least 1."""
+    return _at_least_one(text, "power sum count")
+
+
 def _worker_count(text: str) -> int:
     """Parse --workers: at least 1, clamped to the machine's CPU count."""
     return min(_at_least_one(text, "worker count"), os.cpu_count() or 1)
@@ -84,7 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("powersums", help="power sums of the roots of a set's characteristic polynomial")
     p.add_argument("set")
-    p.add_argument("--count", type=int, default=10, help="how many power sums (default 10)")
+    p.add_argument("--count", type=_power_sum_count, default=10,
+                   help="how many power sums, at least 1 (default 10)")
 
     p = sub.add_parser("classify", help="recognize the prime-power progression pattern")
     p.add_argument("set")
@@ -210,8 +216,6 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "powersums":
         a = IntSet.parse(args.set)
-        if args.count < 1:
-            raise ValueError("--count must be positive")
         series = power_sums(a.elements, args.count)
         _emit({"command": "powersums", "set": list(a.elements),
                "count": args.count, "power_sums": list(series)}, args.human)

@@ -65,7 +65,8 @@ def subset_facts(a: IntSet) -> dict:
     """One pass of the pipeline over a single set.
 
     The ``analyze_set`` dict plus "brute": the certificate of the search
-    over every period up to 2*max + 2, in the same form, or None.
+    over every period up to 2*(max(A) - min(A)) + 2, in the same form,
+    or None.
     """
     facts = analyze_set(a)
     facts["brute"] = cert_dict(brute_force_tiling(a))

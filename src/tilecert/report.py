@@ -74,6 +74,8 @@ def analyze_set(a: IntSet, cap: int | None = None) -> dict:
     With ``cap`` set and the Granville bound above it, the tiling is
     reported undecided instead of searched.
     """
+    # the tiling runs first, so a cap below 1 is refused before any scan
+    tiling = _tiling(a, cap)
     inv = cyclotomic_divisors(a.elements)
     return {
         "set": list(a.elements),
@@ -83,7 +85,7 @@ def analyze_set(a: IntSet, cap: int | None = None) -> dict:
         "prime_power_divisors": list(inv.prime_powers),
         "t1": check_t1(a),
         "t2": check_t2(a),
-        **_tiling(a, cap),
+        **tiling,
         "spectrum": fraction_list(construct_spectrum(a)),
         "classification": classification_dict(classify_prime_power_cyclotomic(a)),
     }

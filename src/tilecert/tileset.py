@@ -123,8 +123,8 @@ def _mann_divisors(a: int, k: int, bound: int) -> tuple[int, ...]:
     return tuple(divisors_totient_at_most(list(exps.items()), bound))
 
 
-def _candidate_indices(exps: Sequence[int]) -> tuple[bool, Sequence[int]]:
-    """Whether p is dense, and a complete ascending list of the s that can index a divisor.
+def _candidate_indices(exps: Sequence[int]) -> Sequence[int]:
+    """A complete ascending list of the s that can index a divisor of p.
 
     Reads the exponents only.  See ``divisors_of_poly`` for the rule
     and for why either list is complete.
@@ -132,24 +132,11 @@ def _candidate_indices(exps: Sequence[int]) -> tuple[bool, Sequence[int]]:
     k, low = len(exps), exps[0]
     span = exps[-1] - low
     if (k - 1) * prime_count(k) > span:
-        return True, totient_at_most(span)
+        return totient_at_most(span)
     found: set[int] = set()
     for e in exps[1:]:
         found.update(_mann_divisors(e - low, k, span))
-    return False, sorted(found)
-
-
-@lru_cache(maxsize=256)
-def _dense_rows(span: int) -> tuple[tuple[int, int, int], ...]:
-    """Each s with phi(s) <= span, with the values of its cyclotomic polynomial at 1 and -1.
-
-    Memoized per span, as ``totient_at_most`` is: the polynomials of a
-    batch share a few spans, and one row per candidate is cheaper to
-    read than the two memos in ``arith``.  Only the dense path with the
-    reject at 2 reads it, so a row has at most about 2 * sqrt(2**17 * k)
-    entries.
-    """
-    return tuple((s, cyclotomic_at_one(s), cyclotomic_at_minus_one(s)) for s in totient_at_most(span))
+    return sorted(found)
 
 
 def divisors_of_poly(exps: Sequence[int]) -> CycloDivisors:
@@ -196,27 +183,28 @@ def divisors_of_poly(exps: Sequence[int]) -> CycloDivisors:
     sound because Phi_s is monic: if it divides p over the integers,
     the quotient has integer coefficients, so Phi_s(m) divides p(m).
 
-    * At m = 1 and m = -1, on both paths and before anything else:
-      p(1) = k, and p(-1) is k less twice the number of odd exponents
-      (up to the sign (-1)**e, which no divisibility test reads); and
-      ``arith`` gives Phi_s(1) (p for s = p**a, else 1) and Phi_s(-1)
-      (0 for s = 2, p for s = 2 * p**a with p odd, 2 for s = 2**a with
-      a >= 2, else 1) in O(1).  So every prime power of a prime not
-      dividing the size goes here.  Where the reject at 2 follows, both
-      values come from one memoized row per span (``_dense_rows``).
-    * At m = 2, on the dense path where it is cheaper: p(2) / 2**e,
-      the sum of the 2**(a - e) over the exponents a (the bitmask of
-      the translated set), is computed once, and one big-int remainder
-      by Phi_s(2) (``arith.cyclotomic_at_two``) decides each candidate.
-      Phi_s(2) is odd, so the power of 2 dropped with x**e changes
-      nothing.  Building Phi_s(2) and the remainder both take bit
-      operations that grow with span * phi(s); the reject below takes
-      k modular steps per candidate.  Measured cold on dense 0/1 sets
-      of 150 to 1,000 elements, a scan with this reject takes about 0.6
-      of the time of one with the reject below at span**2 = 2**17 * k,
-      and they break even near span**2 = 2 * 10**5 * k; so it is taken
-      where span**2 <= 2**17 * k.
-    * Otherwise mod a prime: ``root_of_unity_mod_prime`` gives a prime
+    * At m = 1 and m = -1, for every candidate and before anything
+      else: p(1) = k, and p(-1) is k less twice the number of odd
+      exponents (up to the sign (-1)**e, which no divisibility test
+      reads); and ``arith`` gives Phi_s(1) (p for s = p**a, else 1) and
+      Phi_s(-1) (0 for s = 2, p for s = 2 * p**a with p odd, 2 for
+      s = 2**a with a >= 2, else 1) in O(1).  So every prime power of a
+      prime not dividing the size goes here.
+    * At m = 2, where span**2 <= 2**17 * k, whichever list the
+      candidates come from: p(2) / 2**e, the sum of the 2**(a - e) over
+      the exponents a (the bitmask of the translated set), is computed
+      once, and one big-int remainder by Phi_s(2)
+      (``arith.cyclotomic_at_two``) decides each candidate.  Phi_s(2) is
+      odd, so the power of 2 dropped with x**e changes nothing.
+      Building Phi_s(2) and the remainder both take bit operations that
+      grow with span * phi(s); the reject below takes k modular steps
+      per candidate.  Measured cold on dense 0/1 sets of 150 to 1,000
+      elements, a scan with this reject takes about 0.6 of the time of
+      one with the reject below at span**2 = 2**17 * k, and they break
+      even near span**2 = 2 * 10**5 * k.  The rule reads the span and
+      k only, as the candidate list's does.
+    * Mod a prime where span**2 > 2**17 * k, whichever list the
+      candidates come from: ``root_of_unity_mod_prime`` gives a prime
       q = 1 (mod s) and an element w of order exactly s in the field of
       integers mod q.  Then w is a root of x**s - 1, the product of the
       cyclotomic polynomials of the divisors d of s, but of no
@@ -231,18 +219,16 @@ def divisors_of_poly(exps: Sequence[int]) -> CycloDivisors:
     k, low = len(exps), exps[0]
     span = exps[-1] - low
     at_minus_one = k - 2 * sum(e & 1 for e in exps)
-    dense, candidates = _candidate_indices(exps)
-    at_two_reject = dense and span * span <= (1 << 17) * k
+    at_two_reject = span * span <= (1 << 17) * k
     if at_two_reject:
         at_two = sum(1 << (e - low) for e in exps)
-        rows = _dense_rows(span)
     else:
         # gaps between successive exponents, the first taken as 0, so that
         # p(w) / w**e mod q is one chained pass of multiplications
         gaps = [b - a for a, b in zip((low, *exps), exps)]
-        rows = ((s, cyclotomic_at_one(s), cyclotomic_at_minus_one(s)) for s in candidates)
     found = []
-    for s, one, minus_one in rows:
+    for s in _candidate_indices(exps):
+        one, minus_one = cyclotomic_at_one(s), cyclotomic_at_minus_one(s)
         # Phi_s(-1) is 0 only for s = 2, and 0 divides only 0
         if k % one or (at_minus_one % minus_one if minus_one else at_minus_one):
             continue

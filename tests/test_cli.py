@@ -159,7 +159,12 @@ def test_product_rejects_bad_input(capsys):
 def test_powersums_command(capsys):
     payload = run_json(capsys, "powersums", "0,1,3,4", "--count", "3")
     assert payload["power_sums"] == [-1, 1, -4]
-    assert run_cli(capsys, "powersums", "0,1", "--count", "0")[0] == 2
+    # the parser refuses a count below 1, as it does --lcap and --workers
+    for value in ("0", "-3", "ten"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "powersums", "0,1", "--count", value)
+        assert exc.value.code == 2
+        assert "--count" in capsys.readouterr().err
 
 
 def test_powersums_memory_does_not_grow_with_span(capsys):

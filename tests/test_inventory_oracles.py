@@ -34,6 +34,7 @@ from tilecert.arith import (
     divisors_totient_at_most,
     euler_phi,
     factorize,
+    prime_count,
     root_of_unity_mod_prime,
     totient_at_most,
 )
@@ -65,6 +66,18 @@ def old_divisor_indices(p: IntPoly) -> list[int]:
 
 def inventory(exps) -> list[int]:
     return list(divisors_of_poly(exps).indices)
+
+
+def on_dense_path(exps) -> bool:
+    """Whether the inventory takes every s with phi(s) <= span as its candidates."""
+    k = len(exps)
+    return (k - 1) * prime_count(k) > exps[-1] - exps[0]
+
+
+def rejects_at_two(exps) -> bool:
+    """Whether the inventory's third reject is A(2) mod Phi_s(2), not A(w) mod q."""
+    span = exps[-1] - exps[0]
+    return span * span <= (1 << 17) * len(exps)
 
 
 def test_totient_enumeration_matches_quadratic_scan():
@@ -150,14 +163,16 @@ def divisions_tried(monkeypatch, exps) -> tuple[list[int], list[int]]:
 
 
 def test_filter_false_positive_is_decided_by_division(monkeypatch):
-    # Sparse path: {0, 1, 10} has 3 elements and span 10 >= 2 * pi(3).  The
-    # twelfth cyclotomic polynomial x**4 - x**2 + 1 takes the value 1 at 1
-    # and -1, and its root mod 13 is w = 2, where 1 + 2 + 2**10 = 1027 =
-    # 79 * 13; so s = 12 passes every reject.  It does not divide, and the
-    # division says so.
+    # Sparse path: {0, 1, 10} has 3 elements and span 10 >= 2 * pi(3), and
+    # 10**2 <= 2**17 * 3 puts it on the reject at 2.  The twelfth
+    # cyclotomic polynomial x**4 - x**2 + 1 takes the value 1 at 1 and -1
+    # and 13 at 2, where 1 + 2 + 2**10 = 1027 = 79 * 13; so s = 12 passes
+    # every reject.  (Its root mod 13 is w = 2, so the mod-q reject would
+    # pass it too.)  It does not divide, and the division says so.
     exps = [0, 1, 10]
-    assert tileset._candidate_indices(exps) == (False, [2, 3, 4, 5, 6, 10, 12, 15, 20, 30])
-    assert root_of_unity_mod_prime(12) == (13, 2)
+    assert not on_dense_path(exps) and rejects_at_two(exps)
+    assert tileset._candidate_indices(exps) == [2, 3, 4, 5, 6, 10, 12, 15, 20, 30]
+    assert cyclotomic_at_two(12) == 13 and root_of_unity_mod_prime(12) == (13, 2)
     assert (1 + 2 + 2**10) % 13 == 0
     assert cyclotomic_at_one(12) == cyclotomic_at_minus_one(12) == 1
     assert not divides_cyclotomic(exps, 12)
@@ -175,19 +190,30 @@ def test_dense_false_positive_is_decided_by_division(monkeypatch):
     a = char_poly(exps)
     assert (evaluate(a, 1), evaluate(a, -1), evaluate(a, 2)) == (4, 0, 39)
     assert cyclotomic_at_two(12) == 13 and cyclotomic_at_one(12) == cyclotomic_at_minus_one(12) == 1
-    assert tileset._candidate_indices(exps) == (True, (2, 3, 4, 5, 6, 8, 10, 12))
+    assert on_dense_path(exps)
+    assert tileset._candidate_indices(exps) == (2, 3, 4, 5, 6, 8, 10, 12)
     found, tried = divisions_tried(monkeypatch, exps)
     assert 12 in tried
     assert found == [2] == unfiltered_divisor_indices(exps)
 
 
-@pytest.mark.parametrize("step, mod_q", [(29, False), (31, True)])
-def test_dense_reject_follows_its_cost(monkeypatch, step, mod_q):
-    # 151 points spaced by step, on the dense path: the span 150 * step is
-    # below (k - 1) * pi(k) = 150 * 36.  Phi_s(2) and the remainder by it
-    # grow with span * phi(s), the mod-q chain with k, so the mod-q reject
-    # takes over once span**2 > 2**17 * k: 4350**2 is below 2**17 * 151,
-    # 4650**2 above.  The polynomial is (x**(151 * step) - 1) / (x**step - 1).
+@pytest.mark.parametrize("exps, dense, mod_q", [
+    pytest.param(range(0, 151 * 29, 29), True, False, id="dense-at-two"),
+    pytest.param(range(0, 151 * 31, 31), True, True, id="dense-mod-q"),
+    pytest.param((0, 1, 620), False, False, id="sparse-at-two"),
+    pytest.param((0, 1, 630), False, True, id="sparse-mod-q"),
+])
+def test_third_reject_follows_its_cost(monkeypatch, exps, dense, mod_q):
+    # Phi_s(2) and the remainder by it grow with span * phi(s), the mod-q
+    # chain with k, so the mod-q reject takes over once
+    # span**2 > 2**17 * k, whichever candidate list the set takes.
+    # 151 points spaced by 29 or 31 take the totient list (the span
+    # 150 * step is below (k - 1) * pi(k) = 150 * 36): 4350**2 is below
+    # 2**17 * 151, 4650**2 above, and the polynomial is
+    # (x**(151 * step) - 1) / (x**step - 1).  {0, 1, 620} and {0, 1, 630}
+    # take Mann's list: 620**2 = 384,400 is below 2**17 * 3 = 393,216,
+    # 630**2 = 396,900 above.  1 + z + z**620 = 0 for z of order 3, since
+    # 620 = 2 (mod 3), and 630 = 0 (mod 3) leaves 1 + x + x**630 none.
     calls = {root_of_unity_mod_prime: 0, cyclotomic_at_two: 0}
 
     def counted(f):
@@ -198,10 +224,14 @@ def test_dense_reject_follows_its_cost(monkeypatch, step, mod_q):
 
     monkeypatch.setattr(tileset, "root_of_unity_mod_prime", counted(root_of_unity_mod_prime))
     monkeypatch.setattr(tileset, "cyclotomic_at_two", counted(cyclotomic_at_two))
-    exps = list(range(0, 151 * step, step))
-    assert tileset._candidate_indices(exps)[0]
+    exps = list(exps)
+    assert (on_dense_path(exps), rejects_at_two(exps)) == (dense, not mod_q)
     found = inventory(exps)
-    assert found == [s for s in divisors(151 * step) if step % s]
+    if dense:
+        step, top = exps[1], exps[-1] + exps[1]
+        assert found == [s for s in divisors(top) if step % s]
+    else:
+        assert found == unfiltered_divisor_indices(exps) == ([] if mod_q else [3])
     assert (calls[root_of_unity_mod_prime] > 0, calls[cyclotomic_at_two] > 0) == (mod_q, not mod_q)
 
 
@@ -227,8 +257,7 @@ def test_inventory_matches_unfiltered_scan_on_dense_inputs():
             exps = tower_set(rng, rng.randint(12, 60))
         low = rng.choice((0, 0, rng.randint(1, 20)))
         exps = [low + x for x in exps]
-        dense, _ = tileset._candidate_indices(exps)
-        if not dense:
+        if not on_dense_path(exps):
             continue
         found = inventory(exps)
         assert found == unfiltered_divisor_indices(exps), exps
@@ -294,13 +323,44 @@ def test_mann_candidates_on_shifted_sets():
             exps = sorted({0} | set(rng.sample(range(1, 80), k - 1)))
         shift = rng.randint(1, 20)
         exps = [e + shift for e in exps]
-        if tileset._candidate_indices(exps)[0]:
+        if on_dense_path(exps):
             continue
         found = inventory(exps)
         assert found == unfiltered_divisor_indices(exps), exps
         checked += 1
         nonempty += bool(found)
     assert checked >= 150 and nonempty >= 80, (checked, nonempty)
+
+
+def test_mann_candidates_with_reject_at_two():
+    # seeded sets on Mann's list with span**2 <= 2**17 * k, where A(2) mod
+    # Phi_s(2) decides what the rejects at 1 and -1 leave: half tower
+    # products with wide strides, half random sparse sets, each also
+    # shifted by up to 500.  The dense oracle grows with the largest
+    # element, so it runs on every unshifted set and on every fourth
+    # shifted one; the other translates are held to the unshifted oracle.
+    rng = random.Random(19)
+    checked = nonempty = 0
+    for trial in range(40):
+        if trial % 2:
+            exps = tower_set(rng, rng.randint(60, 300), stride=(2, 3, 4, 5))
+        else:
+            k = rng.randint(2, 10)
+            span = rng.randint(10 * k, 300)
+            exps = sorted({0, span} | set(rng.sample(range(1, span), k - 2)))
+        if on_dense_path(exps):
+            continue
+        assert rejects_at_two(exps)
+        shift = rng.randint(1, 500)
+        shifted = [e + shift for e in exps]
+        found = inventory(exps)
+        assert found == unfiltered_divisor_indices(exps), exps
+        assert inventory(shifted) == found, shifted
+        if checked % 4 == 0:
+            assert found == unfiltered_divisor_indices(shifted), shifted
+        checked += 1
+        nonempty += bool(found)
+    assert checked >= 30 and nonempty >= 15, (checked, nonempty)
 
 
 GATE_SETS = [
@@ -339,9 +399,9 @@ def test_candidate_counts(monkeypatch, poly, candidates):
     candidate_indices = tileset._candidate_indices
 
     def recorder(exps):
-        dense, found = candidate_indices(exps)
+        found = candidate_indices(exps)
         seen.extend(found)
-        return dense, found
+        return found
 
     monkeypatch.setattr(tileset, "_candidate_indices", recorder)
     found = inventory(poly)

@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from tilecert import report, tiler
+from tilecert import report, tiler, tileset
 
 from tilecert.report import analyze_set, product_report, tiling_report
 from tilecert.tiler import find_tiling
@@ -126,7 +126,7 @@ def test_period_cap(monkeypatch):
             assert d["tiling"] == (None if undecided else {"period": 4, "complement": [0]}), cap
 
 
-def test_reports_reject_period_cap_below_one():
+def test_reports_reject_period_cap_below_one(monkeypatch):
     # 1:2,2:2 is 0/1, so its set report runs; 2:2,2:2 is not and has none
     specs = [ProductSpec.parse("1:2,2:2"), ProductSpec.parse("2:2,2:2")]
     for cap in (0, -5):
@@ -138,3 +138,17 @@ def test_reports_reject_period_cap_below_one():
         for spec in specs:
             with pytest.raises(ValueError):
                 product_report(spec, cap=cap)
+    # the cap is checked before any stage runs, so a bad cap costs no
+    # inventory scan of a 1,000-element set
+    cyclotomic_divisors.cache_clear()
+    calls = []
+    scan = tileset.divisors_of_poly
+
+    def counted(exps):
+        calls.append(exps)
+        return scan(exps)
+
+    monkeypatch.setattr(tileset, "divisors_of_poly", counted)
+    with pytest.raises(ValueError):
+        analyze_set(IntSet(range(0, 3000, 3)), cap=0)
+    assert calls == []
