@@ -28,17 +28,19 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .arith import is_prime
-from .tileset import IntSet
+from .tileset import IntSet, require_ascending
 
 
 def power_sums(exps: Sequence[int], count: int) -> tuple[int, ...]:
     """(S_1, ..., S_count) for the roots of the 0/1 polynomial with exponents exps.
 
     ``exps`` is a set's elements: ascending and distinct, at least one,
-    with any minimum.  S_j sits at index j - 1.
+    with any minimum; exponents out of order, or repeated, are a
+    ValueError.  S_j sits at index j - 1.
     """
     if count < 1:
         raise ValueError("count must be positive")
+    require_ascending(exps)
     top = exps[-1]
     distances = [top - e for e in reversed(exps[:-1])]
     sums: list[int] = []

@@ -7,10 +7,11 @@ difference from a set's minimum, and
 ``tilecert analyze 0,1,3,4,1000000000000037`` (a prime difference near
 10**15) spends 6-7 s in ``factorize`` on a 2-core VM.  ROADMAP item G
 replaces it with Pollard's rho and a deterministic Miller-Rabin test.
-The bounded-totient enumerations (``totient_at_most`` and
-``divisors_totient_at_most``) build their results from prime powers in
-one depth-first search, pruned by the running totient, and factorize
-nothing; the first sieves its primes once.
+``divisors_totient_at_most`` lists the divisors of a factored number
+whose totient is within a bound by one depth-first search over prime
+powers, pruned by the running totient, and factorizes nothing;
+``totient_at_most`` runs the same walk over every sieved prime up to
+the bound plus one.
 
 The inventory's rejects read the s-th cyclotomic polynomial Phi_s at
 a few integer points without building it.  Each is sound because Phi_s
@@ -65,9 +66,9 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def euler_phi(n: int) -> int:
-    """Euler's totient of n >= 1."""
+    """Euler's totient of n >= 1.  Memoized for the last 4096 arguments."""
     result = n
     for p, _ in factorize(n):
         result -= result // p
@@ -90,17 +91,19 @@ def primes_up_to(n: int) -> list[int]:
     return [p for p, flag in enumerate(sieve) if flag]
 
 
-def _totient_products(factors: list[tuple[int, int]], bound: int) -> list[int]:
-    """All s >= 2 with euler_phi(s) <= bound built from factors, ascending.
+def divisors_totient_at_most(factors: list[tuple[int, int]], bound: int) -> list[int]:
+    """The divisors s >= 2 of prod p**e over factors with euler_phi(s) <= bound, ascending.
 
-    ``factors`` lists (prime, largest exponent) pairs in increasing
-    prime order.  A depth-first search multiplies in prime powers p**a
-    in increasing p while the running totient, the product of the
+    ``factors`` holds (prime, exponent) pairs in any order; giving the
+    factorization keeps the product itself, which may be huge, out of
+    the computation.  A depth-first search multiplies in prime powers
+    p**a in increasing p while the running totient, the product of the
     factors p**(a-1) * (p-1), stays within the bound; the increasing
     order lets the first prime whose p - 1 overshoots end the loop.
     Each s is reached once, along its factorization, and since phi is
     multiplicative the running product there is phi(s).
     """
+    factors = sorted(factors)
     found: list[int] = []
 
     def extend(start: int, s: int, phi: int) -> None:
@@ -128,19 +131,10 @@ def totient_at_most(bound: int) -> tuple[int, ...]:
 
     Every prime p dividing s has p - 1 dividing phi(s), so only primes
     p <= bound + 1 can occur, and p**a with a > bound has a totient
-    above the bound.  Memoized: batch runs ask for the same few bounds.
+    above the bound: these are the divisors of the product of every
+    p**bound.  Memoized: batch runs ask for the same few bounds.
     """
-    return tuple(_totient_products([(p, bound) for p in primes_up_to(bound + 1)], bound))
-
-
-def divisors_totient_at_most(factors: list[tuple[int, int]], bound: int) -> list[int]:
-    """The divisors s >= 2 of prod p**e over factors with euler_phi(s) <= bound, ascending.
-
-    ``factors`` holds (prime, exponent) pairs in any order; giving the
-    factorization keeps the product itself, which may be huge, out of
-    the computation.
-    """
-    return _totient_products(sorted(factors), bound)
+    return tuple(divisors_totient_at_most([(p, bound) for p in primes_up_to(bound + 1)], bound))
 
 
 @lru_cache(maxsize=256)
@@ -149,7 +143,7 @@ def prime_count(n: int) -> int:
     return len(primes_up_to(n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def root_of_unity_mod_prime(s: int) -> tuple[int, int]:
     """A prime q = 1 (mod s) and an element w of order exactly s mod q.
 
@@ -159,8 +153,10 @@ def root_of_unity_mod_prime(s: int) -> tuple[int, int]:
     when w**(s/p) != 1 for every prime p dividing s; the units mod q are
     cyclic, so a generator g ends the search at the latest.  Needs
     s >= 2: for s = 1 the search would return q = 2 and w = 0, which is
-    not a root of unity.  Memoized: the inventory asks for the same
-    candidates for every polynomial.
+    not a root of unity.  Memoized for the last 4096 orders: dense sets
+    of one span share their whole candidate list, sparse sets share the
+    divisors of their common differences, and each miss walks the
+    progression by trial division again.
     """
     if s < 2:
         raise ValueError(f"root of unity order must be >= 2, got {s}")

@@ -42,16 +42,6 @@ def _at_least_one(text: str, what: str) -> int:
     return value
 
 
-def _period_cap(text: str) -> int:
-    """Parse --lcap: at least 1."""
-    return _at_least_one(text, "period cap")
-
-
-def _power_sum_count(text: str) -> int:
-    """Parse --count: at least 1."""
-    return _at_least_one(text, "power sum count")
-
-
 def _worker_count(text: str) -> int:
     """Parse --workers: at least 1, clamped to the machine's CPU count."""
     return min(_at_least_one(text, "worker count"), os.cpu_count() or 1)
@@ -66,7 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_lcap(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--lcap", type=_period_cap, default=DEFAULT_LCAP,
+        p.add_argument("--lcap", type=lambda text: _at_least_one(text, "period cap"),
+                       default=DEFAULT_LCAP,
                        help="cap on the Granville period bound, at least 1 (default %(default)s)")
 
     p = sub.add_parser("analyze", help="full report for one set")
@@ -89,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("powersums", help="power sums of the roots of a set's characteristic polynomial")
     p.add_argument("set")
-    p.add_argument("--count", type=_power_sum_count, default=10,
-                   help="how many power sums, at least 1 (default 10)")
+    p.add_argument("--count", type=lambda text: _at_least_one(text, "power sum count"),
+                   default=10, help="how many power sums, at least 1 (default 10)")
 
     p = sub.add_parser("classify", help="recognize the prime-power progression pattern")
     p.add_argument("set")
@@ -178,64 +169,48 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def _spectrum_payload(a: IntSet, mode: str, theta: str | None) -> dict:
+    if mode != "verify":
+        if theta is not None:
+            raise ValueError(f"spectrum {mode} takes no --theta")
+        producer = construct_spectrum if mode == "construct" else spectrum_search
+        return {"set": list(a.elements), "spectrum": fraction_list(producer(a))}
+    if theta is None:
+        raise ValueError("spectrum verify needs --theta")
+    thetas = [t % 1 for t in parse_thetas(theta)]
+    root_conditions = verify_spectrum(a.elements, thetas)
+    size_ok = len(thetas) == a.size - 1
+    return {"set": list(a.elements), "thetas": [format_fraction(t) for t in thetas],
+            "root_conditions": root_conditions, "size_ok": size_ok,
+            "verified": root_conditions and size_ok}
+
+
 def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "analyze":
-        a = IntSet.parse(args.set)
-        _emit({"command": "analyze", **analyze_set(a, cap=args.lcap)}, args.human)
-        return 0
-
-    if args.command == "tile":
-        a = IntSet.parse(args.set)
-        _emit({"command": "tile", **tiling_report(a, cap=args.lcap)}, args.human)
-        return 0
-
-    if args.command == "spectrum":
-        a = IntSet.parse(args.set)
-        if args.mode != "verify" and args.theta is not None:
-            raise ValueError(f"spectrum {args.mode} takes no --theta")
-        payload: dict = {"command": f"spectrum {args.mode}", "set": list(a.elements)}
-        if args.mode == "construct":
-            payload["spectrum"] = fraction_list(construct_spectrum(a))
-        elif args.mode == "search":
-            payload["spectrum"] = fraction_list(spectrum_search(a))
-        else:
-            if args.theta is None:
-                raise ValueError("spectrum verify needs --theta")
-            thetas = [t % 1 for t in parse_thetas(args.theta)]
-            payload["thetas"] = [format_fraction(t) for t in thetas]
-            payload["root_conditions"] = verify_spectrum(a.elements, thetas)
-            payload["size_ok"] = len(thetas) == a.size - 1
-            payload["verified"] = payload["root_conditions"] and payload["size_ok"]
-        _emit(payload, args.human)
-        return 0
-
-    if args.command == "product":
-        spec = ProductSpec.parse(args.spec)
-        _emit({"command": "product", **product_report(spec, cap=args.lcap)}, args.human)
-        return 0
-
-    if args.command == "powersums":
-        a = IntSet.parse(args.set)
-        series = power_sums(a.elements, args.count)
-        _emit({"command": "powersums", "set": list(a.elements),
-               "count": args.count, "power_sums": list(series)}, args.human)
-        return 0
-
-    if args.command == "classify":
-        a = IntSet.parse(args.set)
-        _emit({"command": "classify", "set": list(a.elements),
-               "classification": classification_dict(classify_prime_power_cyclotomic(a))},
-              args.human)
-        return 0
-
-    if args.command == "batch":
+    command, code = args.command, 0
+    if command == "batch":
         kind, params = _parse_family(args.family)
-        instances = _build_family(kind, params)
-        summary = run_batch(kind, instances, args.check, workers=args.workers)
-        _emit({"command": "batch", "params": params, **summary}, args.human)
-        return 0 if summary["violation_count"] == 0 else 1
-
-    raise ValueError(f"unknown command {args.command!r}")
+        summary = run_batch(kind, _build_family(kind, params), args.check, workers=args.workers)
+        payload = {"params": params, **summary}
+        code = 0 if summary["violation_count"] == 0 else 1
+    elif command == "product":
+        payload = product_report(ProductSpec.parse(args.spec), cap=args.lcap)
+    else:
+        a = IntSet.parse(args.set)
+        if command == "analyze":
+            payload = analyze_set(a, cap=args.lcap)
+        elif command == "tile":
+            payload = tiling_report(a, cap=args.lcap)
+        elif command == "spectrum":
+            command = f"spectrum {args.mode}"
+            payload = _spectrum_payload(a, args.mode, args.theta)
+        elif command == "powersums":
+            payload = {"set": list(a.elements), "count": args.count,
+                       "power_sums": list(power_sums(a.elements, args.count))}
+        else:
+            payload = {"set": list(a.elements),
+                       "classification": classification_dict(classify_prime_power_cyclotomic(a))}
+    _emit({"command": command, **payload}, args.human)
+    return code
 
 
 if __name__ == "__main__":

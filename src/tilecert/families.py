@@ -179,29 +179,22 @@ def judge_keller_witness(f: dict) -> dict | None:
 # Batch runner
 # ---------------------------------------------------------------------------
 
-SUBSET_CHECKS = {
-    "t1t2-implies-tiling": judge_t1t2_implies_tiling,
-    "tiling-implies-t1": judge_tiling_implies_t1,
-    "tiling-implies-t2": judge_tiling_implies_t2,
-    "granville-period": judge_granville_agreement,
-    "spectrum-formula": judge_spectrum_formula,
-}
-
-TWO_FACTOR_CHECKS = {
-    "two-factor-equivalence": judge_two_factor_equivalence,
-}
-
-THREE_FACTOR_CHECKS = {
-    "tower-equivalence": judge_tower_equivalence,
-    "keller-witness": judge_keller_witness,
-}
-
-
 # family name -> (instance generator, the parameter names it takes in order, checks)
 FAMILIES = {
-    "subsets": (subsets, ("max_elem", "max_size"), SUBSET_CHECKS),
-    "two-factor": (two_factor_specs, ("m", "n"), TWO_FACTOR_CHECKS),
-    "three-factor": (three_factor_specs, ("m",), THREE_FACTOR_CHECKS),
+    "subsets": (subsets, ("max_elem", "max_size"), {
+        "t1t2-implies-tiling": judge_t1t2_implies_tiling,
+        "tiling-implies-t1": judge_tiling_implies_t1,
+        "tiling-implies-t2": judge_tiling_implies_t2,
+        "granville-period": judge_granville_agreement,
+        "spectrum-formula": judge_spectrum_formula,
+    }),
+    "two-factor": (two_factor_specs, ("m", "n"), {
+        "two-factor-equivalence": judge_two_factor_equivalence,
+    }),
+    "three-factor": (three_factor_specs, ("m",), {
+        "tower-equivalence": judge_tower_equivalence,
+        "keller-witness": judge_keller_witness,
+    }),
 }
 
 

@@ -20,8 +20,9 @@ reads its 0/1 polynomial A(x) = sum of x**a from the exponents, so its
 cost follows the number of elements and the index s, not the span.
 
 Values are immutable and all operations are pure, so they can be used
-freely from concurrent workers.  The cyclotomic cache is an lru_cache,
-which is safe for concurrent read/insert under CPython.
+freely from concurrent workers.  The cyclotomic cache is an lru_cache of
+the last 1024 indices, which is safe for concurrent read/insert under
+CPython.
 """
 
 from __future__ import annotations
@@ -62,8 +63,6 @@ class IntPoly:
             raise ValueError("divisor must be monic and nonzero")
         dq = len(divisor.coeffs) - 1
         rem = list(self.coeffs)
-        if len(rem) <= dq:
-            return IntPoly(()), self
         quot = [0] * (len(rem) - dq)
         dcs = divisor.coeffs
         for i in range(len(rem) - 1, dq - 1, -1):
@@ -98,7 +97,7 @@ def over_binomial(coeffs: list[int], d: int) -> list[int]:
     return rem[d:]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def cyclotomic(s: int) -> IntPoly:
     """The s-th cyclotomic polynomial, for s >= 1.
 
@@ -112,8 +111,10 @@ def cyclotomic(s: int) -> IntPoly:
     mu(r/d) = +1 are multiplied in first, then each factor with
     mu(r/d) = -1 is divided out exactly.  Every step is one linear pass
     against a binomial: no long division, and no smaller cyclotomic
-    polynomial is built.  Results are memoized, so repeated use costs
-    one dict lookup.
+    polynomial is built.  Results are memoized for the last 1024
+    indices, as ``arith.cyclotomic_at_two`` is: a repeated index costs
+    one dict lookup, and a wide scan does not keep every dense Phi_s
+    it has built.
     """
     stride, terms = radical_binomials(s)
     coeffs = [1]

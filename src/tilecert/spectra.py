@@ -37,6 +37,7 @@ from .tileset import (
     check_t1,
     check_t2,
     cyclotomic_divisors,
+    require_ascending,
 )
 from .values import frozen
 
@@ -108,8 +109,10 @@ def verify_spectrum(exps: Sequence[int], thetas: Sequence[Fraction]) -> bool:
     first; a repeated value (including a theta congruent to 0) violates
     distinctness and yields False.  Only the root conditions are checked
     here -- whether len(thetas) + 1 matches the number of exponents is
-    the caller's concern.
+    the caller's concern.  Exponents out of order, or repeated, are a
+    ValueError.
     """
+    require_ascending(exps)
     pts = [Fraction(0)] + [Fraction(t) % 1 for t in thetas]
     if len(set(pts)) != len(pts):
         return False
@@ -202,7 +205,15 @@ def spectrum_search_poly(exps: Sequence[int]) -> RationalSpectrum | None:
     spectrum is a clique of the target size.  None means no full
     rational spectrum exists.  The divisors come from the set's one
     inventory memo, so a set just analyzed is not scanned again.
+    Exponents out of order, or repeated, are a ValueError.
+
+    Nothing bounds the work.  There are sum of phi(s) <= span
+    candidates over the inventory's s, and every pair is tested: for
+    {0, N}, whose inventory is every s dividing 2N but not N, that is N
+    candidates and N**2 / 2 pairs.  ``tilecert spectrum search 0,1000``
+    takes about 1.5 s and ``0,3000`` about 16 s on a 2-core VM.
     """
+    require_ascending(exps)
     target = len(exps) - 1
     index_set = set(cyclotomic_divisors(tuple(exps)).indices)
     candidates = sorted(

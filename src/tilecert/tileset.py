@@ -24,7 +24,7 @@ import itertools
 import math
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
-from operator import index
+from operator import index, lt
 
 from .arith import (
     cyclotomic_at_minus_one,
@@ -73,6 +73,19 @@ class IntSet:
 
     def __str__(self) -> str:
         return "{" + ",".join(str(x) for x in self.elements) + "}"
+
+
+def require_ascending(exps: Sequence[int]) -> None:
+    """Raise ValueError unless exps is nonempty and strictly ascending.
+
+    That is the contract of every reader of a set's elements as the
+    exponents of its 0/1 polynomial; the readers that run once per set
+    check it here, so bad input fails at once, not with a wrong answer.
+    """
+    if not exps:
+        raise ValueError("need at least one exponent")
+    if not all(map(lt, exps, exps[1:])):
+        raise ValueError("exponents must be strictly ascending")
 
 
 class CertificateError(RuntimeError):
@@ -214,8 +227,10 @@ def divisors_of_poly(exps: Sequence[int]) -> CycloDivisors:
 
     Every s that survives is decided by the exact division of
     ``divides_cyclotomic``, so the result equals the unfiltered scan
-    over every s with phi(s) <= span.
+    over every s with phi(s) <= span.  Exponents out of order, or
+    repeated, are a ValueError.
     """
+    require_ascending(exps)
     k, low = len(exps), exps[0]
     span = exps[-1] - low
     at_minus_one = k - 2 * sum(e & 1 for e in exps)

@@ -23,7 +23,8 @@ The library's root tests read a set's elements as the exponents of its
 0/1 polynomial and never build it densely.  The dense division they
 replaced, which takes any nonzero integer polynomial, is kept here as
 their oracle, with the degree and the evaluation at an integer point
-that only tests read.
+that only tests read; ``unfiltered_divisor_indices`` runs it on every
+candidate of a set, with none of the library's rejects in front.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 import random
 
-from tilecert.arith import divisors, euler_phi, factorize
+from tilecert.arith import divisors, euler_phi, factorize, totient_at_most
 from tilecert.intpoly import IntPoly, cyclotomic
 from tilecert.products import ProductSpec
 
@@ -163,6 +164,19 @@ def dense_divides_cyclotomic(p: IntPoly, s: int) -> bool:
         if p.is_zero():
             return True
     return p.divrem(cyclotomic(s))[1].is_zero()
+
+
+def unfiltered_divisor_indices(exps) -> list[int]:
+    """Every s with phi(s) <= span whose cyclotomic polynomial divides the set's dense polynomial.
+
+    ``exps`` is ascending.  The offset x**min has no root of unity, so a
+    divisor's degree phi(s) is at most the span, and only those
+    candidates are scanned.  The division still runs on the dense
+    polynomial with its offset, so the oracle does not share the
+    library's reading of the elements relative to their minimum.
+    """
+    p = char_poly(exps)
+    return [s for s in totient_at_most(exps[-1] - exps[0]) if dense_divides_cyclotomic(p, s)]
 
 
 def tower_set(rng: random.Random, top: int, stride: tuple[int, ...] = (1, 1, 2, 3)) -> list[int]:

@@ -259,7 +259,7 @@ def test_batch_reports_violations_with_exit_one(capsys, monkeypatch):
     # force a violation to exercise the failure path end to end
     from tilecert import families
 
-    monkeypatch.setitem(families.SUBSET_CHECKS, "t1t2-implies-tiling",
+    monkeypatch.setitem(families.FAMILIES["subsets"][2], "t1t2-implies-tiling",
                         lambda facts: {"set": "forced", "reason": "forced"})
     code, out, _ = run_cli(capsys, "batch", "subsets", "max_elem=3", "max_size=2",
                            "--check", "t1t2-implies-tiling")

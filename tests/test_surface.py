@@ -12,6 +12,10 @@ The match is by name only, with no scopes and no types, so the guard
 misses some dead code: any use of the same name hides a dead definition.
 A local variable ``shifted`` in ``intpoly.times_binomial``, for
 instance, would hide a dead ``IntSet.shifted`` method.
+
+Every memo of the library is bounded: an ``lru_cache`` with
+``maxsize=None``, or a ``functools.cache``, keeps every entry a process
+ever builds, and a long batch or a wide scan then grows without limit.
 """
 
 import ast
@@ -70,6 +74,59 @@ def unreached(modules: list[Path]) -> list[str]:
         for name in defined_names(tree)
         if name.rpartition(".")[2] not in used
     ]
+
+
+def _called_name(node: ast.expr) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def unbounded_memos(modules: list[Path]) -> list[str]:
+    """Each lru_cache with maxsize None, and each use of functools.cache, as module:line."""
+    found = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and _called_name(node.func) == "lru_cache":
+                sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+                if any(isinstance(v, ast.Constant) and v.value is None for v in sizes):
+                    found.append(f"{path.stem}:{node.lineno}")
+            elif (isinstance(node, ast.ImportFrom) and node.module == "functools"
+                  and any(alias.name == "cache" for alias in node.names)) or (
+                    isinstance(node, ast.Attribute) and node.attr == "cache"
+                    and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_every_memo_is_bounded():
+    assert unbounded_memos(MODULES) == []
+
+
+def test_memo_guard_flags_unbounded_caches(tmp_path):
+    lib = tmp_path / "memo.py"
+    lib.write_text(
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=None)\n"
+        "def a(n):\n"
+        "    return n\n"
+        "@functools.lru_cache(None)\n"
+        "def b(n):\n"
+        "    return n\n"
+        "@functools.cache\n"
+        "def c(n):\n"
+        "    return n\n"
+        "@lru_cache(maxsize=64)\n"
+        "def d(n):\n"
+        "    return n\n"
+        "@lru_cache\n"
+        "def e(n):\n"
+        "    return n\n"
+    )
+    assert unbounded_memos([lib]) == ["memo:2", "memo:3", "memo:6", "memo:9"]
 
 
 def test_guard_reads_the_whole_package():

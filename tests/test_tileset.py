@@ -2,21 +2,24 @@ import itertools
 import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
 from oracles import char_poly, degree, evaluate
 from tilecert import tileset
+from tilecert.analysis import power_sums
 from tilecert.families import product_facts, run_batch, subsets
 from tilecert.intpoly import IntPoly, cyclotomic, divides_cyclotomic
 from tilecert.products import ProductSpec
 from tilecert.report import analyze_set
-from tilecert.spectra import spectrum_search
+from tilecert.spectra import spectrum_search, spectrum_search_poly, verify_spectrum
 from tilecert.tileset import (
     IntSet,
     check_t1,
     check_t2,
     cyclotomic_divisors,
+    divisors_of_poly,
 )
 
 
@@ -28,6 +31,23 @@ def test_intset_validation():
     with pytest.raises(ValueError):
         IntSet([-1, 2])
     assert IntSet([3, 1, 0]).elements == (0, 1, 3)
+
+
+@pytest.mark.parametrize("call", [
+    # unchecked, these answer wrongly (False where the ascending order
+    # verifies, an empty inventory) or fail deep inside (a negative
+    # shift count, an IndexError)
+    pytest.param(lambda: verify_spectrum((3, 2, 1, 0), [Fraction(k, 4) for k in (1, 2, 3)]),
+                 id="verify-descending"),
+    pytest.param(lambda: divisors_of_poly((1, 0, 3, 4)), id="inventory-unsorted"),
+    pytest.param(lambda: spectrum_search_poly((3, 0, 1, 2)), id="search-unsorted"),
+    pytest.param(lambda: divisors_of_poly((0, 1, 1, 3, 4)), id="inventory-repeat"),
+    pytest.param(lambda: power_sums((4, 0, 1, 3), 4), id="powersums-unsorted"),
+    pytest.param(lambda: divisors_of_poly(()), id="inventory-empty"),
+])
+def test_exponents_out_of_contract_are_a_value_error(call):
+    with pytest.raises(ValueError, match="exponent"):
+        call()
 
 
 def test_intset_parse():
