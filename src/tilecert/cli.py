@@ -2,7 +2,8 @@
 
 Every invocation prints one self-describing JSON object with a stable
 key order, so output is byte-for-byte deterministic for a fixed input;
-``--human`` switches to an indented key/value rendering.  Exit codes:
+``--human`` prints ``key: value`` lines instead, a dict as an indented
+block and any other value as JSON (strings bare).  Exit codes:
 0 = computed (whatever the mathematical outcome), 2 = input error.
 Batch mode: 0 = no violations, 1 = violations found.
 """
@@ -16,7 +17,7 @@ import sys
 
 from . import __version__
 from .analysis import classify_prime_power_cyclotomic, power_sums
-from .families import FAMILIES, run_batch
+from .families import build_family, run_batch
 from .report import (
     analyze_set,
     classification_dict,
@@ -102,25 +103,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _render_human(obj, indent: int = 0) -> list[str]:
-    pad = "  " * indent
+def _render_human(payload: dict, pad: str = "") -> list[str]:
     lines: list[str] = []
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            if isinstance(value, (dict, list)) and value:
-                lines.append(f"{pad}{key}:")
-                lines.extend(_render_human(value, indent + 1))
-            else:
-                rendered = json.dumps(value) if not isinstance(value, str) else value
-                lines.append(f"{pad}{key}: {rendered}")
-    elif isinstance(obj, list):
-        for value in obj:
-            if isinstance(value, (dict, list)):
-                lines.extend(_render_human(value, indent + 1))
-            else:
-                lines.append(f"{pad}- {value}")
-    else:
-        lines.append(f"{pad}{obj}")
+    for key, value in payload.items():
+        if isinstance(value, dict) and value:
+            lines += [f"{pad}{key}:", *_render_human(value, pad + "  ")]
+        else:
+            lines.append(f"{pad}{key}: {value if isinstance(value, str) else json.dumps(value)}")
     return lines
 
 
@@ -145,19 +134,6 @@ def _parse_family(tokens: list[str]) -> tuple[str, dict[str, int]]:
         except ValueError as exc:
             raise ValueError(f"bad family parameter {tok!r}") from exc
     return kind, params
-
-
-def _build_family(kind: str, params: dict[str, int]):
-    if kind not in FAMILIES:
-        raise ValueError(f"unknown family {kind!r}")
-    make, names, _ = FAMILIES[kind]
-    unknown = params.keys() - names
-    if unknown:
-        raise ValueError(f"{kind} family takes no {sorted(unknown)}, only {list(names)}")
-    missing = set(names) - params.keys()
-    if missing:
-        raise ValueError(f"{kind} family needs {sorted(missing)}")
-    return make(*(params[name] for name in names))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -189,7 +165,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     command, code = args.command, 0
     if command == "batch":
         kind, params = _parse_family(args.family)
-        summary = run_batch(kind, _build_family(kind, params), args.check, workers=args.workers)
+        summary = run_batch(kind, build_family(kind, params), args.check, workers=args.workers)
         payload = {"params": params, **summary}
         code = 0 if summary["violation_count"] == 0 else 1
     elif command == "product":

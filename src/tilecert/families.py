@@ -10,7 +10,8 @@ one ``tilecert analyze`` prints, plus the brute-force certificate; the
 facts of a product spec are the dict ``report.product_report`` returns,
 the one ``tilecert product`` prints, plus the spec and the outcome of
 the spectrum search.  ``FAMILIES`` lists each family once: its
-generator, the parameters the generator takes, and its checks.
+generator, its parameters with the least value of each (read by
+``build_family``), and its checks (read by ``run_batch``).
 
 The facts hold certificates only from producers that verify what they
 return and raise ``CertificateError`` otherwise (the tiling search, the
@@ -20,6 +21,7 @@ checked here a second time.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Iterable, Iterator
 
@@ -179,31 +181,46 @@ def judge_keller_witness(f: dict) -> dict | None:
 # Batch runner
 # ---------------------------------------------------------------------------
 
-# family name -> (instance generator, the parameter names it takes in order, checks)
+# name -> (generator, {parameter: least value} in argument order, checks)
 FAMILIES = {
-    "subsets": (subsets, ("max_elem", "max_size"), {
+    "subsets": (subsets, {"max_elem": 1, "max_size": 2}, {
         "t1t2-implies-tiling": judge_t1t2_implies_tiling,
         "tiling-implies-t1": judge_tiling_implies_t1,
         "tiling-implies-t2": judge_tiling_implies_t2,
         "granville-period": judge_granville_agreement,
         "spectrum-formula": judge_spectrum_formula,
     }),
-    "two-factor": (two_factor_specs, ("m", "n"), {
+    "two-factor": (two_factor_specs, {"m": 1, "n": 2}, {
         "two-factor-equivalence": judge_two_factor_equivalence,
     }),
-    "three-factor": (three_factor_specs, ("m",), {
+    "three-factor": (three_factor_specs, {"m": 1}, {
         "tower-equivalence": judge_tower_equivalence,
         "keller-witness": judge_keller_witness,
     }),
 }
 
 
-def _judge(job: tuple[str, str, IntSet | ProductSpec]) -> dict | None:
-    family, check, inst = job
+def build_family(kind: str, params: dict[str, int]) -> Iterator:
+    """The instances of family kind; a bad kind or parameter is a ValueError."""
+    if kind not in FAMILIES:
+        raise ValueError(f"unknown family {kind!r}")
+    make, least, _ = FAMILIES[kind]
+    unknown = params.keys() - least
+    if unknown:
+        raise ValueError(f"{kind} family takes no {sorted(unknown)}, only {list(least)}")
+    missing = least.keys() - params.keys()
+    if missing:
+        raise ValueError(f"{kind} family needs {sorted(missing)}")
+    for name, low in least.items():
+        if params[name] < low:
+            raise ValueError(f"{kind} family needs {name} at least {low}, got {params[name]}")
+    return make(*(params[name] for name in least))
+
+
+def _judge(judge, inst: IntSet | ProductSpec) -> dict | None:
     # Look the facts functions up by name at call time, so a wrapped or
     # patched module attribute is the one that runs.
-    facts = subset_facts(inst) if isinstance(inst, IntSet) else product_facts(inst)
-    return FAMILIES[family][2][check](facts)
+    return judge(subset_facts(inst) if isinstance(inst, IntSet) else product_facts(inst))
 
 
 def run_batch(
@@ -217,21 +234,22 @@ def run_batch(
         raise ValueError(f"workers must be at least 1, got {workers}")
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    if check not in FAMILIES[family][2]:
+    judge = FAMILIES[family][2].get(check)
+    if judge is None:
         raise ValueError(f"unknown check {check!r} for family {family!r}")
-    jobs = [(family, check, inst) for inst in instances]
+    job = functools.partial(_judge, judge)
     if workers > 1:
         from multiprocessing import Pool
 
         with Pool(workers) as pool:
-            results = pool.map(_judge, jobs, chunksize=64)
+            results = pool.map(job, instances, chunksize=64)
     else:
-        results = [_judge(job) for job in jobs]
+        results = list(map(job, instances))
     violations = [r for r in results if r is not None]
     return {
         "family": family,
         "check": check,
-        "instances": len(jobs),
+        "instances": len(results),
         "violations": violations,
         "violation_count": len(violations),
     }

@@ -217,8 +217,7 @@ def spectrum_search_poly(exps: Sequence[int]) -> RationalSpectrum | None:
     target = len(exps) - 1
     index_set = set(cyclotomic_divisors(tuple(exps)).indices)
     candidates = sorted(
-        {Fraction(k, s) for s in index_set for k in range(1, s)
-         if Fraction(k, s).denominator in index_set}
+        Fraction(k, s) for s in index_set for k in range(1, s) if math.gcd(k, s) == 1
     )
     if len(candidates) < target:
         return None

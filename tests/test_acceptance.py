@@ -6,6 +6,7 @@ here; the whole module finishes in a few minutes on commodity hardware.
 """
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -26,7 +27,7 @@ from tilecert.families import (
 )
 from tilecert.intpoly import cyclotomic
 from tilecert.spectra import RationalSpectrum, verify_spectrum
-from tilecert.tileset import IntSet
+from tilecert.tileset import IntSet, check_t1, check_t2
 from tilecert.tiler import TilingCertificate, find_tiling, verify_tiling
 from tilecert.products import ProductSpec
 
@@ -261,3 +262,51 @@ def test_criterion_10_lattice_span(three_factor_family):
     report("10", not violations, start,
            f"{checked} orthogonal vectors (|w_i|<=5) all inside the basis span")
     assert not violations, violations[:5]
+
+
+def szabo_tiles(primes: tuple[int, int, int]) -> tuple[list[int], set[tuple[int, ...]]]:
+    """Szabo's tiles of period M = (p1 p2 p3)**2, and the complement they share.
+
+    With g_i = M / p_i**2, of order p_i**2 in Z_M, the box
+    A = {sum a_i g_i : a_i < p_i} and B = {sum b_i p_i g_i : b_i < p_i}
+    give A + B = Z_M.  A column of B in direction i (b_i free, the other
+    digits fixed) plus A is invariant under adding g_i, so shifting
+    pairwise disjoint columns by their g_i keeps A a complement.  One
+    column per direction, in every disjoint choice, gives the tiles.
+    """
+    period = math.prod(primes) ** 2
+    g = [period // p**2 for p in primes]
+    digits = list(itertools.product(*(range(p) for p in primes)))
+    box = sorted(sum(a * gi for a, gi in zip(d, g)) for d in digits)
+
+    def column(i, base):
+        return {base[:i] + (t,) + base[i + 1:] for t in range(primes[i])}
+
+    columns = [[column(i, d) for d in digits if d[i] == 0] for i in range(3)]
+    tiles = set()
+    for chosen in itertools.product(*columns):
+        if any(c & d for c, d in itertools.combinations(chosen, 2)):
+            continue
+        shift = {d: g[i] for i, c in enumerate(chosen) for d in c}
+        tiles.add(tuple(sorted(
+            (sum(b * p * gi for b, p, gi in zip(d, primes, g)) + shift.get(d, 0)) % period
+            for d in digits)))
+    return box, tiles
+
+
+def test_criterion_11_szabo_tiles():
+    # #A = 30 has three primes, the open case of Coven-Meyerowitz B2: these
+    # tiles come with their complement, so the gate needs no tiling search
+    start = time.perf_counter()
+    box, tiles = szabo_tiles((2, 3, 5))
+    cert = TilingCertificate(900, box)
+    violations = [
+        t for t in tiles
+        if len(t) != 30 or not verify_tiling(IntSet(t), cert)
+        or not (check_t1(IntSet(t)) and check_t2(IntSet(t)))
+    ]
+    ok = len(tiles) == 240 and not violations
+    report("11", ok, start,
+           f"{len(tiles)} Szabo tiles of period 900 tile with the box and satisfy t1 and t2")
+    assert len(tiles) == 240
+    assert not violations, violations[:3]

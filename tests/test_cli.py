@@ -248,6 +248,25 @@ def test_batch_rejects_unknown_or_repeated_parameter(capsys):
         assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("family", [
+    ["subsets", "max_elem=-3", "max_size=6", "--check", "granville-period"],
+    ["subsets", "max_elem=0", "max_size=2", "--check", "granville-period"],
+    ["subsets", "max_elem=3", "max_size=1", "--check", "granville-period"],
+    ["two-factor", "m=0", "n=9", "--check", "two-factor-equivalence"],
+    ["two-factor", "m=2", "n=1", "--check", "two-factor-equivalence"],
+    ["three-factor", "m=-1", "--check", "tower-equivalence"],
+], ids=" ".join)
+def test_batch_rejects_a_parameter_below_its_least_value(capsys, family):
+    # such a family is empty, and a batch over it would check nothing
+    code, out, err = run_cli(capsys, "batch", *family)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {family[0]} family needs ")
+
+
+def test_cli_reads_the_family_table_through_families():
+    assert not hasattr(cli, "FAMILIES")
+
+
 def test_spectrum_theta_only_for_verify(capsys):
     for mode in ("construct", "search"):
         code, out, err = run_cli(capsys, "spectrum", mode, "0,2", "--theta", "1/2")
@@ -272,7 +291,17 @@ def test_human_rendering(capsys):
     code, out, _ = run_cli(capsys, "analyze", "0,1,2,3", "--human")
     assert code == 0
     assert "t1: true" in out
-    assert "tiling:" in out
+    assert "tiling:\n  period: 4\n  complement: [0]\n" in out
+    assert 'spectrum: ["1/4", "1/2", "3/4"]\n' in out
+
+
+def test_human_rendering_keeps_list_items_apart(capsys):
+    code, out, _ = run_cli(capsys, "product", "1:2,3:2", "--human")
+    assert code == 0
+    assert out.startswith("command: product\n"
+                          'factors: [{"step": 1, "length": 2}, {"step": 3, "length": 2}]\n')
+    assert "keller_witness: [3, -1]\n" in out
+    assert "set_report:\n  set: [0, 1, 3, 4]\n" in out
 
 
 def test_version_flag(capsys):

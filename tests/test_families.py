@@ -3,14 +3,23 @@ import pytest
 from tilecert import families
 from tilecert.families import (
     FAMILIES,
+    build_family,
+    judge_granville_agreement,
     judge_keller_witness,
+    judge_spectrum_formula,
+    judge_t1t2_implies_tiling,
+    judge_tiling_implies_t1,
+    judge_tiling_implies_t2,
     judge_tower_equivalence,
     judge_two_factor_equivalence,
     product_facts,
     run_batch,
+    subset_facts,
+    subsets,
 )
 from tilecert.products import ProductSpec
 from tilecert.report import product_report
+from tilecert.tileset import IntSet
 
 
 def test_run_batch_looks_facts_functions_up_at_call_time(monkeypatch):
@@ -27,17 +36,62 @@ def test_run_batch_looks_facts_functions_up_at_call_time(monkeypatch):
     monkeypatch.setattr(families, "subset_facts", recorder("subset", families.subset_facts))
     monkeypatch.setattr(families, "product_facts", recorder("product", families.product_facts))
     for family, params, check in (
-        ("subsets", (3, 2), "granville-period"),
-        ("two-factor", (1, 2), "two-factor-equivalence"),
-        ("three-factor", (1,), "tower-equivalence"),
+        ("subsets", {"max_elem": 3, "max_size": 2}, "granville-period"),
+        ("two-factor", {"m": 1, "n": 2}, "two-factor-equivalence"),
+        ("three-factor", {"m": 1}, "tower-equivalence"),
     ):
         calls.clear()
-        make, _, _ = FAMILIES[family]
-        summary = run_batch(family, make(*params), check)
+        summary = run_batch(family, build_family(family, params), check)
         kind = "subset" if family == "subsets" else "product"
         assert summary["instances"] > 0
         assert calls == [kind] * summary["instances"]
 
+
+def test_build_family_reads_the_table():
+    assert [a.elements for a in build_family("subsets", {"max_size": 2, "max_elem": 2})] == [
+        a.elements for a in subsets(2, 2)]
+    # every family is nonempty at the least value of each parameter
+    for kind, (_, least, _) in FAMILIES.items():
+        assert next(iter(build_family(kind, dict(least)))) is not None
+        for name in least:
+            with pytest.raises(ValueError, match=f"needs {name} at least {least[name]}, got"):
+                build_family(kind, {**least, name: least[name] - 1})
+
+
+# (judge, flipped facts of {0, 1, 8, 9}, the record it prints); the facts
+# themselves pass every subsets check
+SUBSET_FLIPS = [
+    (judge_t1t2_implies_tiling, {"tiling": None},
+     {"set": [0, 1, 8, 9], "reason": "t1 and t2 hold but no tiling found"}),
+    (judge_tiling_implies_t1, {"t1": False},
+     {"set": [0, 1, 8, 9], "reason": "tiles but t1 fails"}),
+    (judge_tiling_implies_t2, {"t2": False},
+     {"set": [0, 1, 8, 9], "reason": "tiles but t2 fails"}),
+    (judge_granville_agreement, {"brute": None},
+     {"set": [0, 1, 8, 9], "reason": "bound-restricted search found=True, brute force found=False"}),
+    (judge_granville_agreement, {"tiling": None},
+     {"set": [0, 1, 8, 9], "reason": "bound-restricted search found=False, brute force found=True"}),
+    (judge_spectrum_formula, {"spectrum": None},
+     {"set": [0, 1, 8, 9], "reason": "constructed spectrum size=None, verified=False"}),
+    (judge_spectrum_formula, {"spectrum": ["1/16", "1/2"]},
+     {"set": [0, 1, 8, 9], "reason": "constructed spectrum size=2, verified=True"}),
+]
+
+
+@pytest.mark.parametrize("judge, changes, record", SUBSET_FLIPS)
+def test_subset_violation_records(judge, changes, record):
+    facts = subset_facts(IntSet([0, 1, 8, 9]))
+    assert judge(facts) is None
+    got = judge({**facts, **changes})
+    assert got == record
+    assert list(got) == list(record)
+
+
+def test_tiling_implies_t2_is_claimed_for_two_primes_only():
+    # #A = 30 has three primes, where the implication is open
+    facts = {**subset_facts(IntSet([0, 1, 8, 9])), "t2": False}
+    assert judge_tiling_implies_t2(facts) is not None
+    assert judge_tiling_implies_t2({**facts, "size": 30}) is None
 
 
 def _flipped(spec, set_report=None, **changes):

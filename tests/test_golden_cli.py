@@ -37,6 +37,36 @@ def test_cli_output_matches_recording(entry):
     assert run(entry["command"]) == entry
 
 
+def parse_human(text: str) -> dict:
+    """Read ``--human`` output back: an indented block is a dict, any other
+    value is JSON, or a bare string when it is not valid JSON."""
+    root: dict = {}
+    stack = [(-1, root)]
+    for line in text.splitlines():
+        depth = len(line) - len(line.lstrip(" "))
+        while stack[-1][0] >= depth:
+            stack.pop()
+        if line.endswith(":"):
+            block: dict = {}
+            stack[-1][1][line.strip()[:-1]] = block
+            stack.append((depth, block))
+            continue
+        key, value = line.strip().split(": ", 1)
+        try:
+            stack[-1][1][key] = json.loads(value)
+        except ValueError:
+            stack[-1][1][key] = value
+    return root
+
+
+@pytest.mark.parametrize("entry", [e for e in GOLDEN if e["exit"] != 2],
+                         ids=[e["command"] for e in GOLDEN if e["exit"] != 2])
+def test_human_output_reads_back_as_the_json(entry):
+    human = run(entry["command"] + " --human")
+    assert human["exit"] == entry["exit"] and human["stderr"] == entry["stderr"]
+    assert parse_human(human["stdout"]) == json.loads(entry["stdout"])
+
+
 def readme_cli_examples() -> list[str]:
     """The commands of the README's CLI block, without ``tilecert`` and comments."""
     section = README_PATH.read_text().split("\n## CLI\n", 1)[1]

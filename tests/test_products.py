@@ -201,6 +201,8 @@ def test_check_keller_violation_examples():
     assert check_keller_violation(spec, (3, -1))
     assert not check_keller_violation(spec, (0, 0))
     assert not check_keller_violation(ProductSpec([(1, 2), (2, 2)]), (2, -1))
+    # no coordinate a multiple of its length, but not orthogonal to the steps
+    assert not check_keller_violation(spec, (1, 1))
 
 
 def test_keller_witness_examples():
@@ -226,6 +228,67 @@ def test_keller_witness_whenever_tower_fails():
             assert witness is not None
             assert check_keller_violation(spec, witness), spec
     assert failures > 100
+
+
+def keller_ok(spec, vector):
+    # independent restatement of a Keller violation witness
+    if len(vector) != len(spec.factors) or not any(vector):
+        return False
+    if sum(w * m for w, (m, _) in zip(vector, spec.factors)) != 0:
+        return False
+    return not any(w != 0 and w % n == 0 for w, (_, n) in zip(vector, spec.factors))
+
+
+def cycle_sum_witnesses(specs, monkeypatch):
+    """(spec, witness) for the specs whose witness is the sum of pair vectors
+    around the cycle, the case where no consecutive pair blocks both ways.
+
+    The single-pair witness reads one pair vector; the cycle sum reads one
+    per pair of the cycle, so at least three.
+    """
+    calls = []
+    pair_vector = products._pair_vector
+    monkeypatch.setattr(products, "_pair_vector",
+                        lambda spec, i, j: calls.append((i, j)) or pair_vector(spec, i, j))
+    found = []
+    for spec in specs:
+        calls.clear()
+        witness = keller_violation_witness(spec)
+        if len(calls) > 1:
+            found.append((spec, witness))
+    return found
+
+
+def seeded_keller_specs(count, seed):
+    # 3-6 factors, steps up to 40, lengths 2-7: about one spec in 500 takes
+    # the cycle sum
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield ProductSpec((rng.randint(1, 40), rng.randint(2, 7))
+                          for _ in range(rng.randint(3, 6)))
+
+
+@pytest.mark.parametrize("spec, witness", [
+    ("27:7,36:3,35:6", (-31, 32, -9)),
+    ("24:7,10:3,28:5", (-2, 2, 1)),
+])
+def test_keller_cycle_sum_examples(spec, witness, monkeypatch):
+    spec = ProductSpec.parse(spec)
+    assert cycle_sum_witnesses([spec], monkeypatch) == [(spec, witness)]
+    assert check_keller_violation(spec, witness) and keller_ok(spec, witness)
+    assert not any(chain_holds(spec, perm) for perm in itertools.permutations(range(len(spec))))
+
+
+def test_keller_cycle_sum_on_seeded_specs(monkeypatch):
+    found = cycle_sum_witnesses(seeded_keller_specs(10_000, seed=1), monkeypatch)
+    assert len(found) >= 10
+    for spec, witness in found:
+        assert check_keller_violation(spec, witness) and keller_ok(spec, witness), spec
+        # the witness is not a single pair vector
+        assert sum(1 for w in witness if w) >= 3, spec
+        assert tower_condition(spec) is None
+        assert not any(chain_holds(spec, perm)
+                       for perm in itertools.permutations(range(len(spec)))), spec
 
 
 def test_lattice_span_of_w_basis():

@@ -35,6 +35,8 @@ def test_find_tiling_examples():
 
 def test_verify_tiling_examples():
     assert verify_tiling(IntSet([0, 1]), TilingCertificate(2, [0]))
+    # #A * #B = 2 is not the period 3, so some residue stays uncovered
+    assert not verify_tiling(IntSet([0, 1]), TilingCertificate(3, [0]))
     assert not verify_tiling(IntSet([0, 2]), TilingCertificate(4, [0, 2]))
     assert verify_tiling(IntSet([0, 1, 2, 3]), TilingCertificate(4, [0]))
 
