@@ -10,12 +10,13 @@ The j > M line is the standard homogeneous extension, needed to compare
 against independent oracles beyond the degree, such as the Ramanujan
 sums the tests keep.
 
-For the 0/1 polynomial A(x) of a set A with maximum M, b_{M-i} is 1
-exactly when M - i is an element, so each identity reads only the
-distances d = M - e from the maximum to the other elements e: step j
-adds S_{j-d} for every such d < j, and j when d = j.  A translate only
-adds roots at 0, which add nothing, and the cost follows the number of
-power sums and the number of elements, not the span.
+``power_sums`` takes the set as an ``IntSet``.  For the 0/1 polynomial
+A(x) of a set A with maximum M, b_{M-i} is 1 exactly when M - i is an
+element, so each identity reads only the distances d = M - e from the
+maximum to the other elements e: step j adds S_{j-d} for every such
+d < j, and j when d = j.  A translate only adds roots at 0, which add
+nothing, and the cost follows the number of power sums and the number
+of elements, not the span.
 
 The classifier at the bottom recognizes arithmetic progressions
 {0, t, 2t, ..., (p-1)t} with p prime and t a power of p -- exactly the
@@ -25,22 +26,18 @@ polynomial, of index p**alpha with t = p**(alpha-1).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 from .arith import is_prime
-from .tileset import IntSet, require_ascending
+from .tileset import IntSet
 
 
-def power_sums(exps: Sequence[int], count: int) -> tuple[int, ...]:
-    """(S_1, ..., S_count) for the roots of the 0/1 polynomial with exponents exps.
+def power_sums(a: IntSet, count: int) -> tuple[int, ...]:
+    """(S_1, ..., S_count) for the roots of the set's 0/1 polynomial.
 
-    ``exps`` is a set's elements: ascending and distinct, at least one,
-    with any minimum; exponents out of order, or repeated, are a
-    ValueError.  S_j sits at index j - 1.
+    The set may have any minimum.  S_j sits at index j - 1.
     """
     if count < 1:
         raise ValueError("count must be positive")
-    require_ascending(exps)
+    exps = a.elements
     top = exps[-1]
     distances = [top - e for e in reversed(exps[:-1])]
     sums: list[int] = []

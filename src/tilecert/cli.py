@@ -154,7 +154,7 @@ def _spectrum_payload(a: IntSet, mode: str, theta: str | None) -> dict:
     if theta is None:
         raise ValueError("spectrum verify needs --theta")
     thetas = [t % 1 for t in parse_thetas(theta)]
-    root_conditions = verify_spectrum(a.elements, thetas)
+    root_conditions = verify_spectrum(a, thetas)
     size_ok = len(thetas) == a.size - 1
     return {"set": list(a.elements), "thetas": [format_fraction(t) for t in thetas],
             "root_conditions": root_conditions, "size_ok": size_ok,
@@ -181,7 +181,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             payload = _spectrum_payload(a, args.mode, args.theta)
         elif command == "powersums":
             payload = {"set": list(a.elements), "count": args.count,
-                       "power_sums": list(power_sums(a.elements, args.count))}
+                       "power_sums": list(power_sums(a, args.count))}
         else:
             payload = {"set": list(a.elements),
                        "classification": classification_dict(classify_prime_power_cyclotomic(a))}

@@ -10,8 +10,8 @@ one ``tilecert analyze`` prints, plus the brute-force certificate; the
 facts of a product spec are the dict ``report.product_report`` returns,
 the one ``tilecert product`` prints, plus the spec and the outcome of
 the spectrum search.  ``FAMILIES`` lists each family once: its
-generator, its parameters with the least value of each (read by
-``build_family``), and its checks (read by ``run_batch``).
+generator, parameters with least values and size (read by
+``build_family``), and checks (read by ``run_batch``).
 
 The facts hold certificates only from producers that verify what they
 return and raise ``CertificateError`` otherwise (the tiling search, the
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections.abc import Iterable, Iterator
 
 from .arith import factorize
@@ -32,6 +33,9 @@ from .tileset import IntSet
 from .tiler import brute_force_tiling
 from .products import ProductSpec
 
+# About 10x subsets(18, 7), and over a minute at some 15,000 sets a second
+MAX_INSTANCES = 1_000_000
+
 # ---------------------------------------------------------------------------
 # Families
 # ---------------------------------------------------------------------------
@@ -39,9 +43,19 @@ from .products import ProductSpec
 
 def subsets(max_elem: int, max_size: int) -> Iterator[IntSet]:
     """All subsets of {0, ..., max_elem} with between 2 and max_size elements."""
-    for size in range(2, max_size + 1):
+    for size in range(2, min(max_size, max_elem + 1) + 1):
         for combo in itertools.combinations(range(max_elem + 1), size):
             yield IntSet(combo)
+
+
+def subsets_count(max_elem: int, max_size: int) -> int:
+    """How many sets ``subsets`` yields; past MAX_INSTANCES, a lower bound (the exact sum is slow)."""
+    total = 0
+    for k in range(2, min(max_size, max_elem + 1) + 1):
+        total += math.comb(max_elem + 1, k)
+        if total > MAX_INSTANCES:
+            break
+    return total
 
 
 def two_factor_specs(max_m: int, max_n: int) -> Iterator[ProductSpec]:
@@ -181,7 +195,7 @@ def judge_keller_witness(f: dict) -> dict | None:
 # Batch runner
 # ---------------------------------------------------------------------------
 
-# name -> (generator, {parameter: least value} in argument order, checks)
+# name -> (generator, {parameter: least value} in argument order, checks, size)
 FAMILIES = {
     "subsets": (subsets, {"max_elem": 1, "max_size": 2}, {
         "t1t2-implies-tiling": judge_t1t2_implies_tiling,
@@ -189,22 +203,22 @@ FAMILIES = {
         "tiling-implies-t2": judge_tiling_implies_t2,
         "granville-period": judge_granville_agreement,
         "spectrum-formula": judge_spectrum_formula,
-    }),
+    }, subsets_count),
     "two-factor": (two_factor_specs, {"m": 1, "n": 2}, {
         "two-factor-equivalence": judge_two_factor_equivalence,
-    }),
+    }, lambda m, n: m * m * (n - 1) ** 2),
     "three-factor": (three_factor_specs, {"m": 1}, {
         "tower-equivalence": judge_tower_equivalence,
         "keller-witness": judge_keller_witness,
-    }),
+    }, lambda m: 8 * m**3),
 }
 
 
 def build_family(kind: str, params: dict[str, int]) -> Iterator:
-    """The instances of family kind; a bad kind or parameter is a ValueError."""
+    """The instances of family kind; a bad kind or parameter, or a size over MAX_INSTANCES, is a ValueError."""
     if kind not in FAMILIES:
         raise ValueError(f"unknown family {kind!r}")
-    make, least, _ = FAMILIES[kind]
+    make, least, _, count = FAMILIES[kind]
     unknown = params.keys() - least
     if unknown:
         raise ValueError(f"{kind} family takes no {sorted(unknown)}, only {list(least)}")
@@ -214,7 +228,12 @@ def build_family(kind: str, params: dict[str, int]) -> Iterator:
     for name, low in least.items():
         if params[name] < low:
             raise ValueError(f"{kind} family needs {name} at least {low}, got {params[name]}")
-    return make(*(params[name] for name in least))
+    args = [params[name] for name in least]
+    size = count(*args)
+    if size > MAX_INSTANCES:
+        raise ValueError(f"{kind} family has at least {size:,} instances, "
+                         f"over the batch limit of {MAX_INSTANCES:,}")
+    return make(*args)
 
 
 def _judge(judge, inst: IntSet | ProductSpec) -> dict | None:

@@ -16,8 +16,10 @@ because cyclotomic coefficients do eventually exceed 1 in magnitude (the
 105th cyclotomic polynomial is the first with a coefficient of -2).
 
 A finite set A is never stored densely here: ``divides_cyclotomic``
-reads its 0/1 polynomial A(x) = sum of x**a from the exponents, so its
-cost follows the number of elements and the index s, not the span.
+takes the ``tileset.IntSet`` (named in its annotation only, since
+``tileset`` imports this module) and reads its 0/1 polynomial
+A(x) = sum of x**a from the elements, so its cost follows the number of
+elements and the index s, not the span.
 
 Values are immutable and all operations are pure, so they can be used
 freely from concurrent workers.  The cyclotomic cache is an lru_cache of
@@ -27,7 +29,7 @@ CPython.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from functools import lru_cache
 
 from .arith import euler_phi, radical_binomials
@@ -129,21 +131,21 @@ def cyclotomic(s: int) -> IntPoly:
     return IntPoly(spread)
 
 
-def divides_cyclotomic(exps: Sequence[int], s: int) -> bool:
-    """True iff the s-th cyclotomic polynomial divides the 0/1 polynomial with exponents exps.
+def divides_cyclotomic(a: IntSet, s: int) -> bool:
+    """True iff the s-th cyclotomic polynomial divides the 0/1 polynomial of the set a.
 
-    ``exps`` is a set's elements: ascending and distinct, at least one,
-    with any minimum.  The polynomial is folded mod x**s - 1 by counting
-    its exponents in each residue class, taken relative to the lowest:
-    the s-th cyclotomic polynomial divides x**s - 1 and is prime to x,
-    so it divides the polynomial exactly when it divides the fold, and
-    no translate of the set needs normalizing first.  The counts sum to
-    the number of exponents, so the fold is never zero; it has at most
+    The polynomial is folded mod x**s - 1 by counting the elements in
+    each residue class, taken relative to the lowest: the s-th
+    cyclotomic polynomial divides x**s - 1 and is prime to x, so it
+    divides the polynomial exactly when it divides the fold, and no
+    translate of the set needs normalizing first.  The counts sum to
+    the number of elements, so the fold is never zero; it has at most
     min(s, span + 1) coefficients, and the long division runs on it
     whatever the span.
     """
     if s < 1:
         raise ValueError("cyclotomic index must be >= 1")
+    exps = a.elements
     low = exps[0]
     span = exps[-1] - low
     # phi(s) >= sqrt(s/2), so beyond 2*span**2 the span rules s out

@@ -76,7 +76,7 @@ def analyze_set(a: IntSet, cap: int | None = None) -> dict:
     """
     # the tiling runs first, so a cap below 1 is refused before any scan
     tiling = _tiling(a, cap)
-    inv = cyclotomic_divisors(a.elements)
+    inv = cyclotomic_divisors(a)
     return {
         "set": list(a.elements),
         "size": a.size,

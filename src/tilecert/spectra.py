@@ -19,8 +19,9 @@ available under the Coven-Meyerowitz conditions, and ``spectrum_search``
 runs a complete clique search over all candidate fractions.  Both, and
 ``tilecert spectrum verify``, check a spectrum with ``verify_spectrum``,
 which decides each root condition, the difference 0 included, by one
-cyclotomic divisibility test.  Every function here reads the set's
-elements as the exponents of A; none builds A densely.
+cyclotomic divisibility test.  Every function here takes the set as an
+``IntSet`` and reads its elements as the exponents of A; none builds A
+densely.
 """
 
 from __future__ import annotations
@@ -31,14 +32,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 from .intpoly import divides_cyclotomic
-from .tileset import (
-    CertificateError,
-    IntSet,
-    check_t1,
-    check_t2,
-    cyclotomic_divisors,
-    require_ascending,
-)
+from .tileset import CertificateError, IntSet, check_t1, check_t2, cyclotomic_divisors
 from .values import frozen
 
 
@@ -87,8 +81,8 @@ def parse_thetas(text: str) -> list[Fraction]:
     return out
 
 
-def is_root_of(exps: Sequence[int], delta: Fraction) -> bool:
-    """True iff exp(2*pi*i*delta) is a root of the 0/1 polynomial with exponents exps.
+def is_root_of(a: IntSet, delta: Fraction) -> bool:
+    """True iff exp(2*pi*i*delta) is a root of the set's 0/1 polynomial.
 
     delta lies in [0, 1).  delta = 0 has denominator 1, and the first
     cyclotomic polynomial x - 1 divides no 0/1 polynomial, whose value
@@ -96,28 +90,25 @@ def is_root_of(exps: Sequence[int], delta: Fraction) -> bool:
     """
     if not 0 <= delta < 1:
         raise ValueError("delta must lie in [0, 1)")
-    return divides_cyclotomic(exps, delta.denominator)
+    return divides_cyclotomic(a, delta.denominator)
 
 
-def verify_spectrum(exps: Sequence[int], thetas: Sequence[Fraction]) -> bool:
+def verify_spectrum(a: IntSet, thetas: Sequence[Fraction]) -> bool:
     """Check the root condition for every pair drawn from thetas plus 0.
 
-    ``exps`` is a set's elements, read as the exponents of its 0/1
-    polynomial with no normalizing: a shift multiplies the polynomial by
-    a power of x, which is prime to every cyclotomic polynomial.
-    ``thetas`` is any sequence of fractions.  Values are taken mod 1
-    first; a repeated value (including a theta congruent to 0) violates
-    distinctness and yields False.  Only the root conditions are checked
-    here -- whether len(thetas) + 1 matches the number of exponents is
-    the caller's concern.  Exponents out of order, or repeated, are a
-    ValueError.
+    The set's elements are read as the exponents of its 0/1 polynomial
+    with no normalizing: a shift multiplies the polynomial by a power of
+    x, which is prime to every cyclotomic polynomial.  ``thetas`` is any
+    sequence of fractions.  Values are taken mod 1 first; a repeated
+    value (including a theta congruent to 0) violates distinctness and
+    yields False.  Only the root conditions are checked here -- whether
+    len(thetas) + 1 matches the size of the set is the caller's concern.
     """
-    require_ascending(exps)
     pts = [Fraction(0)] + [Fraction(t) % 1 for t in thetas]
     if len(set(pts)) != len(pts):
         return False
     for u, v in itertools.combinations(pts, 2):
-        if not is_root_of(exps, (u - v) % 1):
+        if not is_root_of(a, (u - v) % 1):
             return False
     return True
 
@@ -140,7 +131,7 @@ def construct_spectrum(a: IntSet) -> RationalSpectrum | None:
     """
     if not (check_t1(a) and check_t2(a)):
         return None
-    inv = cyclotomic_divisors(a.elements)
+    inv = cyclotomic_divisors(a)
     denominator = math.prod(group[-1] for _, group in inv.by_prime)
     sums = {0}
     for p, group in inv.by_prime:
@@ -151,7 +142,7 @@ def construct_spectrum(a: IntSet) -> RationalSpectrum | None:
     spectrum = RationalSpectrum(Fraction(x, denominator) for x in sums)
     if len(spectrum) != a.size - 1:
         raise CertificateError(f"spectrum formula for {a} produced {len(spectrum)} values")
-    if not verify_spectrum(a.elements, spectrum.thetas):
+    if not verify_spectrum(a, spectrum.thetas):
         raise CertificateError(f"spectrum formula for {a} failed verification")
     return spectrum
 
@@ -194,18 +185,17 @@ def _find_clique(adj: list[int], target: int) -> list[int] | None:
     return None
 
 
-def spectrum_search_poly(exps: Sequence[int]) -> RationalSpectrum | None:
-    """Complete search for a full rational spectrum of the 0/1 polynomial p with exponents exps.
+def spectrum_search_poly(a: IntSet) -> RationalSpectrum | None:
+    """Complete search for a full rational spectrum of the set's 0/1 polynomial p.
 
-    A full spectrum has p(1) - 1 = len(exps) - 1 theta values, the
-    target size.  Candidates are exactly the fractions in (0, 1) whose
-    reduced denominator indexes a cyclotomic divisor of p (their
-    difference with the implicit 0 must already be a root), and two
-    candidates are compatible when their difference mod 1 is a root; a
-    spectrum is a clique of the target size.  None means no full
-    rational spectrum exists.  The divisors come from the set's one
-    inventory memo, so a set just analyzed is not scanned again.
-    Exponents out of order, or repeated, are a ValueError.
+    A full spectrum has p(1) - 1 = #A - 1 theta values, the target
+    size.  Candidates are exactly the fractions in (0, 1) whose reduced
+    denominator indexes a cyclotomic divisor of p (their difference
+    with the implicit 0 must already be a root), and two candidates are
+    compatible when their difference mod 1 is a root; a spectrum is a
+    clique of the target size.  None means no full rational spectrum
+    exists.  The divisors come from the set's one inventory memo, so a
+    set just analyzed is not scanned again.
 
     Nothing bounds the work.  There are sum of phi(s) <= span
     candidates over the inventory's s, and every pair is tested: for
@@ -213,9 +203,8 @@ def spectrum_search_poly(exps: Sequence[int]) -> RationalSpectrum | None:
     candidates and N**2 / 2 pairs.  ``tilecert spectrum search 0,1000``
     takes about 1.5 s and ``0,3000`` about 16 s on a 2-core VM.
     """
-    require_ascending(exps)
-    target = len(exps) - 1
-    index_set = set(cyclotomic_divisors(tuple(exps)).indices)
+    target = a.size - 1
+    index_set = set(cyclotomic_divisors(a).indices)
     candidates = sorted(
         Fraction(k, s) for s in index_set for k in range(1, s) if math.gcd(k, s) == 1
     )
@@ -231,11 +220,11 @@ def spectrum_search_poly(exps: Sequence[int]) -> RationalSpectrum | None:
     if clique is None:
         return None
     spectrum = RationalSpectrum(candidates[v] for v in clique)
-    if not verify_spectrum(exps, spectrum.thetas):
+    if not verify_spectrum(a, spectrum.thetas):
         raise CertificateError(f"searched spectrum {spectrum} failed verification")
     return spectrum
 
 
 def spectrum_search(a: IntSet) -> RationalSpectrum | None:
     """Search for a full rational spectrum of the set (target size #A - 1)."""
-    return spectrum_search_poly(a.elements)
+    return spectrum_search_poly(a)

@@ -57,7 +57,7 @@ class TilingCertificate:
 
 def granville_bound(a: IntSet) -> int:
     """lcm of all cyclotomic divisor indices of A(x); 1 when there are none."""
-    return math.lcm(*cyclotomic_divisors(a.elements).indices)
+    return math.lcm(*cyclotomic_divisors(a).indices)
 
 
 def _complement_search(residues: Sequence[int], period: int) -> tuple[int, ...] | None:

@@ -15,7 +15,8 @@ conditions:
 
 Both conditions, the inventory, and tiling itself are invariant under
 translating the set, and every stage reads the elements relative to
-their minimum: no translate is ever built.
+their minimum: no translate is ever built.  Every function that reads
+a set takes the ``IntSet``, sorted and free of repeats once built.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import itertools
 import math
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
-from operator import index, lt
+from operator import index
 
 from .arith import (
     cyclotomic_at_minus_one,
@@ -73,19 +74,6 @@ class IntSet:
 
     def __str__(self) -> str:
         return "{" + ",".join(str(x) for x in self.elements) + "}"
-
-
-def require_ascending(exps: Sequence[int]) -> None:
-    """Raise ValueError unless exps is nonempty and strictly ascending.
-
-    That is the contract of every reader of a set's elements as the
-    exponents of its 0/1 polynomial; the readers that run once per set
-    check it here, so bad input fails at once, not with a wrong answer.
-    """
-    if not exps:
-        raise ValueError("need at least one exponent")
-    if not all(map(lt, exps, exps[1:])):
-        raise ValueError("exponents must be strictly ascending")
 
 
 class CertificateError(RuntimeError):
@@ -152,15 +140,15 @@ def _candidate_indices(exps: Sequence[int]) -> Sequence[int]:
     return sorted(found)
 
 
-def divisors_of_poly(exps: Sequence[int]) -> CycloDivisors:
-    """Inventory of the 0/1 polynomial p with exponents exps: each s >= 2 with Phi_s | p.
+def divisors_of_poly(a: IntSet) -> CycloDivisors:
+    """Inventory of the set's 0/1 polynomial p: each s >= 2 with Phi_s | p.
 
-    ``exps`` is a set's elements, ascending and distinct, with any
-    minimum e; the polynomial is never built.  Let p have k terms.
-    Dividing by x**e moves no root of unity, so a translate of the set
-    has the same inventory and needs no normalizing: a divisor of index
-    s has degree phi(s) <= span, the degree of p / x**e, and every
-    exponent below is taken relative to e.  Two complete candidate
+    The exponents of p are the elements of a, with any minimum e; the
+    polynomial is never built.  Let p have k terms.  Dividing by x**e
+    moves no root of unity, so a translate of the set has the same
+    inventory and needs no normalizing: a divisor of index s has degree
+    phi(s) <= span, the degree of p / x**e, and every exponent below is
+    taken relative to e.  Two complete candidate
     lists are known:
 
     * Sparse p: if the cyclotomic polynomial of index s divides p, then
@@ -227,11 +215,10 @@ def divisors_of_poly(exps: Sequence[int]) -> CycloDivisors:
 
     Every s that survives is decided by the exact division of
     ``divides_cyclotomic``, so the result equals the unfiltered scan
-    over every s with phi(s) <= span.  Exponents out of order, or
-    repeated, are a ValueError.
+    over every s with phi(s) <= span.
     """
-    require_ascending(exps)
-    k, low = len(exps), exps[0]
+    exps = a.elements
+    k, low = a.size, exps[0]
     span = exps[-1] - low
     at_minus_one = k - 2 * sum(e & 1 for e in exps)
     at_two_reject = span * span <= (1 << 17) * k
@@ -258,25 +245,26 @@ def divisors_of_poly(exps: Sequence[int]) -> CycloDivisors:
                 value += x
             if value % q:
                 continue
-        if divides_cyclotomic(exps, s):
+        if divides_cyclotomic(a, s):
             found.append(s)
     return CycloDivisors(found)
 
 
 @lru_cache(maxsize=1)
-def cyclotomic_divisors(elements: tuple[int, ...]) -> CycloDivisors:
-    """Cyclotomic divisor inventory of the set with this element tuple.
+def cyclotomic_divisors(a: IntSet) -> CycloDivisors:
+    """Cyclotomic divisor inventory of the set.
 
-    Memoized on the tuple for the one set under analysis: its stages,
-    the clique search included, consult its inventory in turn, and no
-    pipeline comes back to a set it has left.
+    Memoized on the set for the one set under analysis: its stages, the
+    clique search included, consult its inventory in turn, and no
+    pipeline comes back to a set it has left.  Equal sets hash alike, so
+    a set rebuilt from the same elements finds the memo too.
     """
-    return divisors_of_poly(elements)
+    return divisors_of_poly(a)
 
 
 def check_t1(a: IntSet) -> bool:
     """Condition (T1): #A is the product of Phi_s(1) = p over inventory prime powers s = p**a."""
-    return math.prod(p ** len(g) for p, g in cyclotomic_divisors(a.elements).by_prime) == a.size
+    return math.prod(p ** len(g) for p, g in cyclotomic_divisors(a).by_prime) == a.size
 
 
 def check_t2(a: IntSet) -> bool:
@@ -289,7 +277,7 @@ def check_t2(a: IntSet) -> bool:
     s >= 2 whose cyclotomic polynomial divides (one of degree phi(s)
     above the polynomial's cannot), so no polynomial is divided here.
     """
-    inv = cyclotomic_divisors(a.elements)
+    inv = cyclotomic_divisors(a)
     indices = set(inv.indices)
     prime_groups = [g for _, g in inv.by_prime]
     for k in range(2, len(prime_groups) + 1):

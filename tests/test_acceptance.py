@@ -140,7 +140,7 @@ def test_criterion_06_spectrum_formula(subset_family):
         f for f in eligible
         if f["spectrum"] is None
         or len(f["spectrum"]) != f["size"] - 1
-        or not verify_spectrum(f["set"], RationalSpectrum(Fraction(t) for t in f["spectrum"]))
+        or not verify_spectrum(IntSet(f["set"]), RationalSpectrum(Fraction(t) for t in f["spectrum"]))
     ]
     report("6", not bad, start,
            f"constructed spectra have size #A-1 and verify on {len(eligible)} sets")
@@ -199,7 +199,7 @@ def test_criterion_08_power_sum_oracles():
         second = rng.randint(0, deg - 1)
         exponents = {deg, second} | set(rng.sample(range(second + 1), rng.randint(0, second)))
         gap = deg - second
-        series = power_sums(sorted(exponents), gap)
+        series = power_sums(IntSet(exponents), gap)
         if any(series[j - 1] != 0 for j in range(1, gap)) or series[gap - 1] != -gap:
             violations.append(("gap", tuple(sorted(exponents))))
 
@@ -209,7 +209,7 @@ def test_criterion_08_power_sum_oracles():
         deg = rng.randint(2, 30)
         exps = sorted(rng.sample(range(deg), rng.randint(1, deg))) + [deg]
         roots = np.roots(list(reversed(char_poly(exps).coeffs)))
-        series = power_sums(exps, 12)
+        series = power_sums(IntSet(exps), 12)
         for j in range(1, 13):
             if abs(sum(r**j for r in roots) - series[j - 1]) > NUMERIC_TOLERANCE:
                 violations.append(("numeric", tuple(exps), j))
@@ -237,7 +237,7 @@ def test_criterion_09_prime_power_family():
         # the grid {j/q} restricted to j = 1..p-1: exactly the full-size
         # spectrum for this set (p elements, so p-1 values)
         spectrum = RationalSpectrum(Fraction(j, q) for j in range(1, p))
-        if len(spectrum) != a.size - 1 or not verify_spectrum(a.elements, spectrum):
+        if len(spectrum) != a.size - 1 or not verify_spectrum(a, spectrum):
             violations.append((q, "spectrum"))
     report("9", not violations, start,
            f"classified, tiled, spectrum-verified for {len(cases)} prime powers")

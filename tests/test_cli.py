@@ -263,6 +263,15 @@ def test_batch_rejects_a_parameter_below_its_least_value(capsys, family):
     assert err.startswith(f"error: {family[0]} family needs ")
 
 
+def test_batch_refuses_an_oversized_family_at_once(capsys):
+    # about 1.4 * 10**27 sets, counted from the parameters before any is built
+    code, out, err = run_cli(capsys, "batch", "subsets", "max_elem=100000", "max_size=6",
+                             "--check", "granville-period")
+    assert code == 2 and out == ""
+    assert err.startswith("error: subsets family has at least ")
+    assert "over the batch limit of 1,000,000" in err
+
+
 def test_cli_reads_the_family_table_through_families():
     assert not hasattr(cli, "FAMILIES")
 

@@ -51,11 +51,37 @@ def test_build_family_reads_the_table():
     assert [a.elements for a in build_family("subsets", {"max_size": 2, "max_elem": 2})] == [
         a.elements for a in subsets(2, 2)]
     # every family is nonempty at the least value of each parameter
-    for kind, (_, least, _) in FAMILIES.items():
+    for kind, (_, least, _, _) in FAMILIES.items():
         assert next(iter(build_family(kind, dict(least)))) is not None
         for name in least:
             with pytest.raises(ValueError, match=f"needs {name} at least {least[name]}, got"):
                 build_family(kind, {**least, name: least[name] - 1})
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("subsets", {"max_elem": 7, "max_size": 4}),
+    # no set has more than max_elem + 1 elements, so a huge max_size costs nothing
+    ("subsets", {"max_elem": 3, "max_size": 10**9}),
+    ("two-factor", {"m": 3, "n": 4}),
+    ("three-factor", {"m": 3}),
+])
+def test_instance_count_matches_the_generator(kind, params):
+    make, least, _, count = FAMILIES[kind]
+    args = [params[name] for name in least]
+    assert count(*args) == len(list(make(*args)))
+
+
+def test_oversized_family_is_refused_before_any_instance():
+    # the count is read off the parameters, and the sum of binomials
+    # stops once past the limit, so even subsets(10**6, 10**6) is refused at once
+    for kind, params in (("subsets", {"max_elem": 10**6, "max_size": 10**6}),
+                         ("two-factor", {"m": 501, "n": 3}),
+                         ("three-factor", {"m": 51})):
+        with pytest.raises(ValueError, match="over the batch limit of 1,000,000"):
+            build_family(kind, params)
+    # the limit itself is allowed: 8 * 50**3 = 1,000,000
+    assert FAMILIES["three-factor"][3](50) == families.MAX_INSTANCES
+    build_family("three-factor", {"m": 50})
 
 
 # (judge, flipped facts of {0, 1, 8, 9}, the record it prints); the facts

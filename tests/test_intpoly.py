@@ -11,6 +11,7 @@ from tilecert.intpoly import (
     over_binomial,
     times_binomial,
 )
+from tilecert.tileset import IntSet
 
 # Textbook table, frozen independently of the construction under test.
 KNOWN_CYCLOTOMICS = {
@@ -157,14 +158,15 @@ def test_cyclotomic_at_one():
 
 
 def test_divides_cyclotomic_examples():
-    assert divides_cyclotomic((0, 1, 2, 3), 2)
-    assert not divides_cyclotomic((0, 1, 3, 4), 4)
-    assert divides_cyclotomic((0, 2, 4), 6)
+    assert divides_cyclotomic(IntSet((0, 1, 2, 3)), 2)
+    assert not divides_cyclotomic(IntSet((0, 1, 3, 4)), 4)
+    assert divides_cyclotomic(IntSet((0, 2, 4)), 6)
     # a translate has the same cyclotomic divisors, and x - 1 divides no set
-    assert divides_cyclotomic((7, 9, 11), 6)
-    assert not divides_cyclotomic((0, 1), 1)
-    # a single exponent is a power of x, prime to every cyclotomic polynomial
-    assert not any(divides_cyclotomic((5,), s) for s in range(1, 20))
+    assert divides_cyclotomic(IntSet((7, 9, 11)), 6)
+    assert not divides_cyclotomic(IntSet((0, 1)), 1)
+    # a power of x is prime to every cyclotomic polynomial: x**5 * (1 + x)
+    # has the one cyclotomic divisor of 1 + x
+    assert [s for s in range(1, 20) if divides_cyclotomic(IntSet((5, 6)), s)] == [2]
 
 
 def random_multiple(rng: random.Random, s: int) -> list[int]:
@@ -186,7 +188,7 @@ def test_divides_cyclotomic_random_products():
     for _ in range(120):
         s = rng.randint(2, 60)
         exps = random_multiple(rng, s)
-        assert divides_cyclotomic(exps, s), (exps, s)
+        assert divides_cyclotomic(IntSet(exps), s), (exps, s)
 
 
 def test_divides_cyclotomic_fold_matches_unfolded_division():
@@ -206,7 +208,7 @@ def test_divides_cyclotomic_fold_matches_unfolded_division():
         exps = [e + shift for e in exps]
         p = IntPoly([int(e in exps) for e in range(exps[-1] + 1)])
         unfolded = p.divrem(cyclotomic(s))[1].is_zero()
-        assert divides_cyclotomic(exps, s) == unfolded == dense_divides_cyclotomic(p, s), (exps, s)
+        assert divides_cyclotomic(IntSet(exps), s) == unfolded == dense_divides_cyclotomic(p, s), (exps, s)
         span = exps[-1] - exps[0]
         below += span < s
         above += span >= s
@@ -219,7 +221,7 @@ def test_inventory_divides_no_polynomial_of_the_set_degree(monkeypatch):
     # folds, of degree below the index s; unfolded, the inventory divided
     # the polynomial of degree 200,000
     from tilecert.report import analyze_set
-    from tilecert.tileset import IntSet, cyclotomic_divisors
+    from tilecert.tileset import cyclotomic_divisors
 
     degrees = []
     original = IntPoly.divrem
@@ -250,9 +252,9 @@ def test_divides_cyclotomic_factors_no_index_beyond_twice_the_squared_degree(mon
     monkeypatch.setattr(arith, "factorize", recorder)
     arith.euler_phi.cache_clear()
     for deg in range(1, 6):
-        exps = range(deg + 1)
-        assert not divides_cyclotomic(exps, 2 * deg * deg + 1)
-        divides_cyclotomic(exps, 2 * deg * deg)
+        a = IntSet(range(deg + 1))
+        assert not divides_cyclotomic(a, 2 * deg * deg + 1)
+        divides_cyclotomic(a, 2 * deg * deg)
     # only at s <= 2 * deg**2 is the totient taken
     assert factored == [2 * deg * deg for deg in range(1, 6)]
     # the bound itself, checked against the totient

@@ -144,9 +144,9 @@ def test_reports_reject_period_cap_below_one(monkeypatch):
     calls = []
     scan = tileset.divisors_of_poly
 
-    def counted(exps):
-        calls.append(exps)
-        return scan(exps)
+    def counted(a):
+        calls.append(a)
+        return scan(a)
 
     monkeypatch.setattr(tileset, "divisors_of_poly", counted)
     with pytest.raises(ValueError):

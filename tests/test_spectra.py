@@ -24,15 +24,15 @@ F = Fraction
 
 
 def test_is_root_of_examples():
-    assert is_root_of((0, 1), F(1, 2))
-    assert is_root_of((0, 1, 2, 3), F(1, 4))
-    assert not is_root_of((0, 1, 3, 4), F(1, 3))
+    assert is_root_of(IntSet((0, 1)), F(1, 2))
+    assert is_root_of(IntSet((0, 1, 2, 3)), F(1, 4))
+    assert not is_root_of(IntSet((0, 1, 3, 4)), F(1, 3))
     # a translate has the same roots on the unit circle
-    assert is_root_of((5, 6), F(1, 2))
+    assert is_root_of(IntSet((5, 6)), F(1, 2))
     # delta = 0 asks whether 1 is a root; never for a 0/1 polynomial
-    assert not is_root_of((0, 1), F(0))
+    assert not is_root_of(IntSet((0, 1)), F(0))
     with pytest.raises(ValueError):
-        is_root_of((0, 1), F(3, 2))
+        is_root_of(IntSet((0, 1)), F(3, 2))
 
 
 def test_rational_spectrum_validation():
@@ -58,14 +58,14 @@ def test_parse_thetas():
 
 
 def test_verify_spectrum_examples():
-    assert verify_spectrum((0, 1), RationalSpectrum([F(1, 2)]))
+    assert verify_spectrum(IntSet((0, 1)), RationalSpectrum([F(1, 2)]))
     # any sequence of fractions, reduced mod 1, a repeat failing
-    assert verify_spectrum((0, 1), [F(3, 2)])
-    assert not verify_spectrum((0, 1), (F(1, 2), F(-1, 2)))
+    assert verify_spectrum(IntSet((0, 1)), [F(3, 2)])
+    assert not verify_spectrum(IntSet((0, 1)), (F(1, 2), F(-1, 2)))
     # root conditions alone do not enforce the full size; the reporting
     # layer checks size separately
-    assert verify_spectrum((0, 1, 2, 3), RationalSpectrum([F(1, 2), F(1, 4)]))
-    assert not verify_spectrum((0, 1, 3, 4), RationalSpectrum([F(1, 3)]))
+    assert verify_spectrum(IntSet((0, 1, 2, 3)), RationalSpectrum([F(1, 2), F(1, 4)]))
+    assert not verify_spectrum(IntSet((0, 1, 3, 4)), RationalSpectrum([F(1, 3)]))
 
 
 def _record_root_tests(monkeypatch) -> list[int]:
@@ -73,9 +73,9 @@ def _record_root_tests(monkeypatch) -> list[int]:
     asked = []
     real = spectra.is_root_of
 
-    def recording(exps, delta):
+    def recording(a, delta):
         asked.append(delta.denominator)
-        return real(exps, delta)
+        return real(a, delta)
 
     monkeypatch.setattr(spectra, "is_root_of", recording)
     return asked
@@ -83,7 +83,7 @@ def _record_root_tests(monkeypatch) -> list[int]:
 
 def test_verify_rejects_duplicates_and_zero(monkeypatch):
     asked = _record_root_tests(monkeypatch)
-    p = (0, 1)
+    p = IntSet((0, 1))
     assert not verify_spectrum(p, [F(1, 2), F(1, 2)])
     assert not verify_spectrum(p, [F(0)])
     assert not verify_spectrum(p, [F(1)])
@@ -99,8 +99,8 @@ def test_verify_rejects_a_single_failing_denominator():
     # and 3 but not those of order 6; of the pairs drawn from {0, 1/2, 1/3}
     # only 1/2 - 1/3 fails
     thetas = [F(1, 2), F(1, 3)]
-    assert not verify_spectrum((0, 1, 2, 5, 6, 7), thetas)
-    assert verify_spectrum(range(6), thetas)
+    assert not verify_spectrum(IntSet((0, 1, 2, 5, 6, 7)), thetas)
+    assert verify_spectrum(IntSet(range(6)), thetas)
 
 
 def test_progression_spectrum_family():
@@ -109,7 +109,7 @@ def test_progression_spectrum_family():
         for n in range(2, 6):
             a = IntSet(range(0, n * m, m))
             spectrum = RationalSpectrum(F(k, n * m) for k in range(1, n))
-            assert verify_spectrum(a.elements, spectrum), (m, n)
+            assert verify_spectrum(a, spectrum), (m, n)
             assert len(spectrum) == a.size - 1
 
 
@@ -125,7 +125,7 @@ def test_construct_spectrum_size_and_verification():
         spectrum = construct_spectrum(a)
         if spectrum is not None:
             assert len(spectrum) == a.size - 1
-            assert verify_spectrum(a.elements, spectrum)
+            assert verify_spectrum(a, spectrum)
 
 
 def test_spectrum_search_examples():
@@ -143,7 +143,7 @@ def test_search_agrees_with_construction_size():
             found = spectrum_search(a)
             assert found is not None
             assert len(found) == len(built)
-            assert verify_spectrum(a.elements, found)
+            assert verify_spectrum(a, found)
 
 
 def test_verified_size_within_orthogonality_bound():
@@ -163,16 +163,16 @@ def test_oversized_root_grid_fails_verification():
     # orthogonality bound anyway.
     a = IntSet([0, 2])
     grid = [F(j, 4) for j in range(1, 4)]
-    assert not verify_spectrum(a.elements, grid)
+    assert not verify_spectrum(a, grid)
     assert len(grid) + 1 > a.size
     # the correct spectrum keeps only j = 1..p-1
-    assert verify_spectrum(a.elements, RationalSpectrum([F(1, 4)]))
+    assert verify_spectrum(a, RationalSpectrum([F(1, 4)]))
 
 
 def test_search_poly_trivial_target():
-    # the target size is the number of exponents less 1: 0 for one term
-    assert spectrum_search_poly((0,)).thetas == ()
-    assert spectrum_search_poly((7,)).thetas == ()
+    # the target size is #A - 1: 1 for the least set, two elements
+    for a in (IntSet((0, 1)), IntSet((7, 8))):
+        assert spectrum_search_poly(a).thetas == (F(1, 2),)
 
 
 def test_search_is_deterministic():
@@ -187,7 +187,7 @@ def test_candidate_set_is_exactly_the_single_roots():
     # difference with the implicit 0); check the equivalence explicitly
     from tilecert.tileset import divisors_of_poly
 
-    p = (0, 1, 8, 9)
+    p = IntSet((0, 1, 8, 9))
     index_set = set(divisors_of_poly(p).indices)
     for q in range(2, 40):
         for k in range(1, q):
@@ -196,14 +196,14 @@ def test_candidate_set_is_exactly_the_single_roots():
 
 
 def test_unverified_constructed_spectrum_raises(monkeypatch):
-    monkeypatch.setattr(spectra, "verify_spectrum", lambda exps, thetas: False)
+    monkeypatch.setattr(spectra, "verify_spectrum", lambda a, thetas: False)
     with pytest.raises(CertificateError):
         construct_spectrum(IntSet([0, 1]))
 
 
 def test_subset_facts_runs_the_spectrum_check(monkeypatch):
     # subset_facts trusts construct_spectrum's own verification, which must still run
-    monkeypatch.setattr(spectra, "verify_spectrum", lambda exps, thetas: False)
+    monkeypatch.setattr(spectra, "verify_spectrum", lambda a, thetas: False)
     with pytest.raises(CertificateError):
         subset_facts(IntSet([0, 1]))
 
@@ -242,17 +242,17 @@ def test_spectra_agree_on_far_translates():
         else:
             a = IntSet(rng.sample(range(24), rng.randint(2, 6)))
         moved = IntSet(x + 10**6 for x in a.elements)
-        assert cyclotomic_divisors(moved.elements) == cyclotomic_divisors(a.elements), a
+        assert cyclotomic_divisors(moved) == cyclotomic_divisors(a), a
         built, found = construct_spectrum(a), spectrum_search(a)
         assert construct_spectrum(moved) == built, a
         assert spectrum_search(moved) == found, a
         for spectrum in (built, found):
             if spectrum is not None:
-                assert verify_spectrum(moved.elements, spectrum.thetas)
+                assert verify_spectrum(moved, spectrum.thetas)
                 spectral += 1
         # and a grid of twelfths gets one verdict on both
         thetas = [F(j, 12) for j in rng.sample(range(1, 12), min(a.size - 1, 11))]
-        assert verify_spectrum(moved.elements, thetas) == verify_spectrum(a.elements, thetas), (a, thetas)
+        assert verify_spectrum(moved, thetas) == verify_spectrum(a, thetas), (a, thetas)
     assert spectral >= 40, spectral
 
 
@@ -265,7 +265,7 @@ def test_constructed_spectrum_of_wrong_size_raises(monkeypatch):
 
 
 def test_unverified_searched_spectrum_raises(monkeypatch):
-    monkeypatch.setattr(spectra, "verify_spectrum", lambda exps, thetas: False)
+    monkeypatch.setattr(spectra, "verify_spectrum", lambda a, thetas: False)
     with pytest.raises(CertificateError):
         spectrum_search(IntSet([0, 1]))
 

@@ -13,7 +13,7 @@ from tilecert.families import product_facts, run_batch, subsets
 from tilecert.intpoly import IntPoly, cyclotomic, divides_cyclotomic
 from tilecert.products import ProductSpec
 from tilecert.report import analyze_set
-from tilecert.spectra import spectrum_search, spectrum_search_poly, verify_spectrum
+from tilecert.spectra import is_root_of, spectrum_search, spectrum_search_poly, verify_spectrum
 from tilecert.tileset import (
     IntSet,
     check_t1,
@@ -33,21 +33,25 @@ def test_intset_validation():
     assert IntSet([3, 1, 0]).elements == (0, 1, 3)
 
 
-@pytest.mark.parametrize("call", [
-    # unchecked, these answer wrongly (False where the ascending order
-    # verifies, an empty inventory) or fail deep inside (a negative
-    # shift count, an IndexError)
-    pytest.param(lambda: verify_spectrum((3, 2, 1, 0), [Fraction(k, 4) for k in (1, 2, 3)]),
-                 id="verify-descending"),
-    pytest.param(lambda: divisors_of_poly((1, 0, 3, 4)), id="inventory-unsorted"),
-    pytest.param(lambda: spectrum_search_poly((3, 0, 1, 2)), id="search-unsorted"),
-    pytest.param(lambda: divisors_of_poly((0, 1, 1, 3, 4)), id="inventory-repeat"),
-    pytest.param(lambda: power_sums((4, 0, 1, 3), 4), id="powersums-unsorted"),
-    pytest.param(lambda: divisors_of_poly(()), id="inventory-empty"),
-])
-def test_exponents_out_of_contract_are_a_value_error(call):
-    with pytest.raises(ValueError, match="exponent"):
-        call()
+READERS = {
+    "divides_cyclotomic": lambda a: [divides_cyclotomic(a, s) for s in range(1, 13)],
+    "divisors_of_poly": divisors_of_poly,
+    "cyclotomic_divisors": cyclotomic_divisors,
+    "is_root_of": lambda a: [is_root_of(a, Fraction(k, q)) for q in range(1, 13) for k in range(q)],
+    "verify_spectrum": lambda a: [verify_spectrum(a, t) for t in ([Fraction(1, 2)], [Fraction(1, 6)],
+                                                                 [Fraction(1, 2), Fraction(1, 6)])],
+    "spectrum_search_poly": spectrum_search_poly,
+    "power_sums": lambda a: power_sums(a, 8),
+}
+
+
+@pytest.mark.parametrize("read", READERS.values(), ids=READERS.keys())
+def test_each_set_reader_answers_alike_on_an_unsorted_input_and_a_far_translate(read):
+    # every library function that reads a set takes the IntSet, which
+    # sorts its input once; the elements are read relative to the minimum
+    unsorted, far = IntSet((1, 0, 3, 4)), 10**12
+    moved = IntSet((far + 1, far, far + 3, far + 4))
+    assert read(unsorted) == read(moved) == read(IntSet((0, 1, 3, 4)))
 
 
 def test_intset_parse():
@@ -78,14 +82,14 @@ def test_char_poly_injective_and_counts_size():
 
 
 def test_cyclotomic_divisors_examples():
-    inv = cyclotomic_divisors((0, 1, 2, 3))
+    inv = cyclotomic_divisors(IntSet((0, 1, 2, 3)))
     assert inv.indices == (2, 4)
     assert inv.prime_powers == (2, 4)
     assert inv.by_prime == ((2, (2, 4)),)
 
-    assert cyclotomic_divisors((0, 1, 3)).indices == ()
+    assert cyclotomic_divisors(IntSet((0, 1, 3))).indices == ()
 
-    inv = cyclotomic_divisors((0, 2, 4))
+    inv = cyclotomic_divisors(IntSet((0, 2, 4)))
     assert inv.indices == (3, 6)
     assert inv.prime_powers == (3,)
 
@@ -94,7 +98,7 @@ def test_divisor_list_matches_direct_division():
     for combo in itertools.combinations(range(8), 3):
         a = IntSet(combo)
         poly = char_poly([x - combo[0] for x in combo])
-        reported = set(cyclotomic_divisors(a.elements).indices)
+        reported = set(cyclotomic_divisors(a).indices)
         deg = degree(poly)
         for s in range(2, 2 * deg * deg + 2):
             divides = not poly.divrem(cyclotomic(s))[1].coeffs if degree(cyclotomic(s)) <= deg else False
@@ -111,12 +115,12 @@ def test_t2_examples():
     # prime powers of one prime only: vacuous
     assert check_t2(IntSet([0, 1, 2, 3]))
     # inventory of {0,2,3,5} is {2,4} (plus the non-prime-power 6): still one prime
-    assert cyclotomic_divisors((0, 2, 3, 5)).prime_powers == (2, 4)
+    assert cyclotomic_divisors(IntSet((0, 2, 3, 5))).prime_powers == (2, 4)
     assert check_t2(IntSet([0, 2, 3, 5]))
     # {0..5} has prime powers {2,3}; the cross product 6 divides
-    inv = cyclotomic_divisors((0, 1, 2, 3, 4, 5))
+    inv = cyclotomic_divisors(IntSet((0, 1, 2, 3, 4, 5)))
     assert inv.prime_powers == (2, 3)
-    assert divides_cyclotomic(range(6), 6)
+    assert divides_cyclotomic(IntSet(range(6)), 6)
     assert check_t2(IntSet(range(6)))
 
 
@@ -126,7 +130,7 @@ def test_t2_failure_case():
     # {0,1,2,4,5,6}: A = (1+x+x^2)(1+x^4) has prime powers {3, 8}, and
     # the cross product 24 has totient 8 > degree 6, so t2 must fail.
     a = IntSet([0, 1, 2, 4, 5, 6])
-    inv = cyclotomic_divisors(a.elements)
+    inv = cyclotomic_divisors(a)
     assert inv.prime_powers == (3, 8)
     assert not check_t2(a)
 
@@ -134,9 +138,9 @@ def test_t2_failure_case():
 def test_t2_matches_division_based_definition():
     # (T2) reads the inventory; the definition divides by each cross-prime product.
     def t2_by_division(a):
-        groups = [g for _, g in cyclotomic_divisors(a.elements).by_prime]
+        groups = [g for _, g in cyclotomic_divisors(a).by_prime]
         return all(
-            divides_cyclotomic(a.elements, math.prod(combo))
+            divides_cyclotomic(a, math.prod(combo))
             for k in range(2, len(groups) + 1)
             for chosen in itertools.combinations(groups, k)
             for combo in itertools.product(*chosen)
@@ -157,7 +161,7 @@ def test_t1_matches_definition_by_values_at_one():
     # multiplies the values at 1 of the prime-power cyclotomic polynomials.
     outcomes = set()
     for a in subsets(12, 6):
-        powers = cyclotomic_divisors(a.elements).prime_powers
+        powers = cyclotomic_divisors(a).prime_powers
         holds = check_t1(a)
         assert holds == (math.prod(evaluate(cyclotomic(s), 1) for s in powers) == a.size), a
         outcomes.add(holds)
@@ -170,7 +174,7 @@ def test_divisor_indices_respect_degree_bound():
     for combo in ((0, 1, 2, 3), (0, 2, 4), (0, 1, 8, 9), (0, 2, 3, 5)):
         a = IntSet(combo)
         deg = degree(char_poly([x - combo[0] for x in combo]))
-        inv = cyclotomic_divisors(a.elements)
+        inv = cyclotomic_divisors(a)
         assert all(euler_phi(s) <= deg for s in inv.indices)
         assert set(inv.prime_powers) <= set(inv.indices)
 
@@ -182,7 +186,7 @@ def test_translation_invariance():
         base = IntSet(rng.sample(range(12), size))
         shift = rng.randint(1, 9)
         moved = IntSet(x + shift for x in base.elements)
-        assert cyclotomic_divisors(base.elements) == cyclotomic_divisors(moved.elements)
+        assert cyclotomic_divisors(base) == cyclotomic_divisors(moved)
         assert check_t1(base) == check_t1(moved)
         assert check_t2(base) == check_t2(moved)
 
@@ -196,9 +200,9 @@ def test_one_inventory_per_set_and_only_one_kept(monkeypatch):
     calls = []
     scan = tileset.divisors_of_poly
 
-    def counted(exps):
-        calls.append(exps)
-        return scan(exps)
+    def counted(a):
+        calls.append(a)
+        return scan(a)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("tilecert") and getattr(module, "divisors_of_poly", None) is scan:
@@ -210,7 +214,7 @@ def test_one_inventory_per_set_and_only_one_kept(monkeypatch):
     # the product report analyzes {0,1,2,3}, and the clique search reads that inventory
     calls.clear()
     assert product_facts(ProductSpec.parse("1:2,2:2"))["spectrum_search"] is True
-    assert calls == [(0, 1, 2, 3)]
+    assert calls == [IntSet([0, 1, 2, 3])]
     sets = list(subsets(8, 4))
     calls.clear()
     run_batch("subsets", sets, "granville-period")

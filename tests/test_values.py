@@ -26,7 +26,7 @@ SAMPLES = {
         "IntSet(elements=(0, 1, 8, 9))",
     ),
     "CycloDivisors": (
-        lambda: divisors_of_poly(IntSet([0, 1, 8, 9]).elements),
+        lambda: divisors_of_poly(IntSet([0, 1, 8, 9])),
         "CycloDivisors(indices=(2, 16), prime_powers=(2, 16), by_prime=((2, (2, 16)),))",
     ),
     "TilingCertificate": (
