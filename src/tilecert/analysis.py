@@ -29,14 +29,22 @@ from __future__ import annotations
 from .arith import is_prime
 from .tileset import IntSet
 
+# Every root of a 0/1 polynomial has modulus below 2 (Cauchy's bound), and
+# S_j reads only the distances up to j, so |S_j| < j * 2**j: S_10000 has at
+# most 3,015 digits, within Python's 4,300-digit limit for printing an int
+MAX_POWER_SUMS = 10_000
+
 
 def power_sums(a: IntSet, count: int) -> tuple[int, ...]:
     """(S_1, ..., S_count) for the roots of the set's 0/1 polynomial.
 
-    The set may have any minimum.  S_j sits at index j - 1.
+    The set may have any minimum.  S_j sits at index j - 1.  A count
+    below 1 or above MAX_POWER_SUMS is a ValueError.
     """
     if count < 1:
-        raise ValueError("count must be positive")
+        raise ValueError(f"power sum count must be at least 1, got {count}")
+    if count > MAX_POWER_SUMS:
+        raise ValueError(f"power sum count must be at most {MAX_POWER_SUMS:,}")
     exps = a.elements
     top = exps[-1]
     distances = [top - e for e in reversed(exps[:-1])]

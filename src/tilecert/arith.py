@@ -5,7 +5,7 @@ the square root, so a large prime costs about half its square root in
 divisions.  That is not enough for every set: the inventory factors each
 difference from a set's minimum, and
 ``tilecert analyze 0,1,3,4,1000000000000037`` (a prime difference near
-10**15) spends 6-7 s in ``factorize`` on a 2-core VM.  ROADMAP item G
+10**15) spends about 6 s in ``factorize`` on a 2-core VM.  ROADMAP item G
 replaces it with Pollard's rho and a deterministic Miller-Rabin test.
 ``divisors_totient_at_most`` lists the divisors of a factored number
 whose totient is within a bound by one depth-first search over prime

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
-from .analysis import classify_prime_power_cyclotomic, power_sums
+from .analysis import MAX_POWER_SUMS, classify_prime_power_cyclotomic, power_sums
 from .families import build_family, run_batch
 from .report import (
     analyze_set,
@@ -33,21 +32,6 @@ from .products import ProductSpec
 DEFAULT_LCAP = 1_000_000
 
 
-def _at_least_one(text: str, what: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid {what} {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{what} must be at least 1, got {value}")
-    return value
-
-
-def _worker_count(text: str) -> int:
-    """Parse --workers: at least 1, clamped to the machine's CPU count."""
-    return min(_at_least_one(text, "worker count"), os.cpu_count() or 1)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tilecert",
@@ -57,8 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_lcap(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--lcap", type=lambda text: _at_least_one(text, "period cap"),
-                       default=DEFAULT_LCAP,
+        p.add_argument("--lcap", type=int, default=DEFAULT_LCAP,
                        help="cap on the Granville period bound, at least 1 (default %(default)s)")
 
     p = sub.add_parser("analyze", help="full report for one set")
@@ -81,8 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("powersums", help="power sums of the roots of a set's characteristic polynomial")
     p.add_argument("set")
-    p.add_argument("--count", type=lambda text: _at_least_one(text, "power sum count"),
-                   default=10, help="how many power sums, at least 1 (default 10)")
+    p.add_argument("--count", type=int, default=10,
+                   help=f"how many power sums, 1 to {MAX_POWER_SUMS:,} (default 10)")
 
     p = sub.add_parser("classify", help="recognize the prime-power progression pattern")
     p.add_argument("set")
@@ -92,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="family spec: 'subsets max_elem=E max_size=K', "
                         "'two-factor m=M n=N', or 'three-factor m=M'")
     p.add_argument("--check", required=True, help="check name, see README")
-    p.add_argument("--workers", type=_worker_count, default=1,
+    p.add_argument("--workers", type=int, default=1,
                    help="worker processes for batch enumeration, at most the "
                         "CPU count (default 1)")
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 from collections.abc import Iterable, Iterator
 
 from .arith import factorize
@@ -231,8 +232,7 @@ def build_family(kind: str, params: dict[str, int]) -> Iterator:
     args = [params[name] for name in least]
     size = count(*args)
     if size > MAX_INSTANCES:
-        raise ValueError(f"{kind} family has at least {size:,} instances, "
-                         f"over the batch limit of {MAX_INSTANCES:,}")
+        raise ValueError(f"{kind} family has more than {MAX_INSTANCES:,} instances, the batch limit")
     return make(*args)
 
 
@@ -248,9 +248,14 @@ def run_batch(
     check: str,
     workers: int = 1,
 ) -> dict:
-    """Run one named check over a family; returns a deterministic summary dict."""
+    """Run one named check over a family; returns a deterministic summary dict.
+
+    A worker count below 1 is a ValueError; one above the CPU count is
+    clamped to it.
+    """
     if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+        raise ValueError(f"worker count must be at least 1, got {workers}")
+    workers = min(workers, os.cpu_count() or 1)
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     judge = FAMILIES[family][2].get(check)

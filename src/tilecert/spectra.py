@@ -201,7 +201,7 @@ def spectrum_search_poly(a: IntSet) -> RationalSpectrum | None:
     candidates over the inventory's s, and every pair is tested: for
     {0, N}, whose inventory is every s dividing 2N but not N, that is N
     candidates and N**2 / 2 pairs.  ``tilecert spectrum search 0,1000``
-    takes about 1.5 s and ``0,3000`` about 16 s on a 2-core VM.
+    takes about 1.5 s and ``0,3000`` about 14 s on a 2-core VM.
     """
     target = a.size - 1
     index_set = set(cyclotomic_divisors(a).indices)

@@ -13,7 +13,7 @@ from oracles import (
     unfiltered_divisor_indices,
 )
 from tilecert.arith import divisors, euler_phi
-from tilecert.analysis import classify_prime_power_cyclotomic, power_sums
+from tilecert.analysis import MAX_POWER_SUMS, classify_prime_power_cyclotomic, power_sums
 from tilecert.intpoly import IntPoly, cyclotomic
 from tilecert.tileset import IntSet
 
@@ -36,6 +36,26 @@ def test_power_sums_examples():
         assert abs(got - expect) < 1e-9
     # a shift only adds roots at 0, which add nothing
     assert power_sums(IntSet((7, 8, 10, 11)), 3) == series
+
+
+def test_power_sums_count_is_checked_before_the_set_is_read():
+    class Unread:
+        @property
+        def elements(self):
+            raise AssertionError("the set was read")
+
+    for count in (0, -1, MAX_POWER_SUMS + 1, 10**100):
+        with pytest.raises(ValueError, match="power sum count must be"):
+            power_sums(Unread(), count)
+
+
+def test_power_sums_print_at_the_count_limit():
+    # distances 1, 3, ..., 19 from the maximum give a root near -1.618, and
+    # no root of a 0/1 polynomial reaches the golden ratio (Odlyzko-Poonen),
+    # so S_j grows about as fast as it can; S_10000 prints within 4,300 digits
+    sums = power_sums(IntSet([*range(1, 20, 2), 20]), MAX_POWER_SUMS)
+    assert len(sums) == MAX_POWER_SUMS
+    assert len(str(max(sums, key=abs))) < 4300
 
 
 def test_power_sums_rejects_bad_input():

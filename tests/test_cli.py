@@ -1,8 +1,10 @@
 import json
 import os
+import runpy
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -159,12 +161,21 @@ def test_product_rejects_bad_input(capsys):
 def test_powersums_command(capsys):
     payload = run_json(capsys, "powersums", "0,1,3,4", "--count", "3")
     assert payload["power_sums"] == [-1, 1, -4]
-    # the parser refuses a count below 1, as it does --lcap and --workers
-    for value in ("0", "-3", "ten"):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(capsys, "powersums", "0,1", "--count", value)
-        assert exc.value.code == 2
-        assert "--count" in capsys.readouterr().err
+    # power_sums refuses a count below 1 or above MAX_POWER_SUMS before it
+    # computes anything, and main prints its message (exit 2)
+    for value, message in (("0", "at least 1, got 0"), ("-3", "at least 1, got -3"),
+                           ("10001", "at most 10,000"), ("100000000", "at most 10,000")):
+        code, out, err = run_cli(capsys, "powersums", "0,1", "--count", value)
+        assert code == 2 and out == ""
+        assert err == f"error: power sum count must be {message}\n"
+    # a count that is not an integer is still the parser's error
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "powersums", "0,1", "--count", "ten")
+    assert exc.value.code == 2
+    assert "--count" in capsys.readouterr().err
+    # the roots of 1 + x are -1, and S_10000 is the largest count allowed
+    payload = run_json(capsys, "powersums", "0,1", "--count", "10000")
+    assert payload["power_sums"] == [(-1) ** j for j in range(1, 10_001)]
 
 
 def test_powersums_memory_does_not_grow_with_span(capsys):
@@ -248,6 +259,15 @@ def test_batch_rejects_unknown_or_repeated_parameter(capsys):
         assert err.startswith("error: ")
 
 
+def test_batch_rejects_a_malformed_parameter(capsys):
+    for token, message in (("max_elem3", "bad family parameter 'max_elem3', expected key=value"),
+                           ("max_elem=three", "bad family parameter 'max_elem=three'")):
+        code, out, err = run_cli(capsys, "batch", "subsets", token, "max_size=2",
+                                 "--check", "granville-period")
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("family", [
     ["subsets", "max_elem=-3", "max_size=6", "--check", "granville-period"],
     ["subsets", "max_elem=0", "max_size=2", "--check", "granville-period"],
@@ -268,8 +288,20 @@ def test_batch_refuses_an_oversized_family_at_once(capsys):
     code, out, err = run_cli(capsys, "batch", "subsets", "max_elem=100000", "max_size=6",
                              "--check", "granville-period")
     assert code == 2 and out == ""
-    assert err.startswith("error: subsets family has at least ")
-    assert "over the batch limit of 1,000,000" in err
+    assert err == "error: subsets family has more than 1,000,000 instances, the batch limit\n"
+
+
+@pytest.mark.parametrize("family", [
+    ["subsets", f"max_elem={'9' * 4000}", "max_size=3", "--check", "granville-period"],
+    ["two-factor", f"m={'9' * 4000}", "n=3", "--check", "two-factor-equivalence"],
+    ["three-factor", f"m={'9' * 4000}", "--check", "tower-equivalence"],
+], ids=lambda family: family[0])
+def test_batch_limit_message_for_a_4000_digit_parameter(capsys, family):
+    # the count has about 8,000 digits, past Python's 4,300-digit limit for
+    # printing an int, so the message prints the limit and not the count
+    code, out, err = run_cli(capsys, "batch", *family)
+    assert code == 2 and out == ""
+    assert err == f"error: {family[0]} family has more than 1,000,000 instances, the batch limit\n"
 
 
 def test_cli_reads_the_family_table_through_families():
@@ -319,6 +351,18 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
 
 
+def test_module_runs_as_a_script(capsys, monkeypatch):
+    # python -m tilecert.cli, in this process so that its guard line runs here
+    monkeypatch.setattr(sys, "argv", ["tilecert", "--version"])
+    with warnings.catch_warnings():
+        # runpy warns that tilecert.cli is already imported, which is harmless here
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("tilecert.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"tilecert {tilecert.__version__}\n"
+
+
 def test_analyze_under_optimize_flag_matches(capsys):
     # certificate checks are explicit, so -O (which strips asserts) changes nothing
     src = os.path.dirname(os.path.dirname(tilecert.__file__))
@@ -335,25 +379,44 @@ def _batch_args(*extra):
     return ["batch", "subsets", "max_elem=4", "max_size=2", "--check", "granville-period", *extra]
 
 
-def test_workers_below_one_rejected_by_parser(capsys):
-    for value in ("0", "-3", "two"):
-        with pytest.raises(SystemExit) as exc:
-            cli.build_parser().parse_args(_batch_args("--workers", value))
-        assert exc.value.code == 2
+def _refuse_work(monkeypatch):
+    """Make any inventory scan, product expansion or judged instance fail the test."""
+    from tilecert import families, report, tileset
+
+    def refuse(*args):
+        raise AssertionError(f"work ran on {args}")
+
+    tileset.cyclotomic_divisors.cache_clear()
+    for module, name in ((tileset, "divisors_of_poly"), (report, "product_set"),
+                         (families, "subset_facts")):
+        monkeypatch.setattr(module, name, refuse)
+
+
+def test_workers_below_one_refused_by_run_batch(capsys, monkeypatch):
+    _refuse_work(monkeypatch)
+    for value in ("0", "-3"):
+        code, out, err = run_cli(capsys, *_batch_args("--workers", value))
+        assert code == 2 and out == ""
+        assert err == f"error: worker count must be at least 1, got {value}\n"
+    # a count that is not an integer is still the parser's error
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(_batch_args("--workers", "two"))
+    assert exc.value.code == 2
     assert "--workers" in capsys.readouterr().err
 
 
-def test_lcap_below_one_rejected_by_parser(capsys):
-    for value in ("0", "-5", "ten"):
+def test_lcap_below_one_refused_by_the_reports(capsys, monkeypatch):
+    _refuse_work(monkeypatch)
+    for argv in (["analyze", "0,1,8,9"], ["tile", "0,1,8,9"], ["product", "1:2,3:2"]):
+        for value in ("0", "-5"):
+            code, out, err = run_cli(capsys, *argv, "--lcap", value)
+            assert code == 2 and out == ""
+            assert err == f"error: period cap must be at least 1, got {value}\n"
         with pytest.raises(SystemExit) as exc:
-            cli.build_parser().parse_args(["analyze", "0,1", "--lcap", value])
+            run_cli(capsys, *argv, "--lcap", "ten")
         assert exc.value.code == 2
         assert "--lcap" in capsys.readouterr().err
     assert cli.build_parser().parse_args(["analyze", "0,1", "--lcap", "1"]).lcap == 1
-    with pytest.raises(SystemExit) as exc:
-        run_cli(capsys, "tile", "0,1,8,9", "--lcap", "0")
-    assert exc.value.code == 2
-    assert "--lcap" in capsys.readouterr().err
 
 
 def test_flags_only_where_read(capsys):
@@ -371,19 +434,49 @@ def test_flags_only_where_read(capsys):
         assert cli.build_parser().parse_args([*argv, "--human"]).human is True
 
 
-def test_workers_clamped_to_cpu_count():
+def test_run_batch_clamps_workers_to_cpu_count(capsys, monkeypatch):
+    # the clamp lives in run_batch, so the CLI and every library caller get
+    # it; the stand-in pool records its size and starts no process
+    import multiprocessing
+
+    from tilecert.families import run_batch, subsets
+
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, workers):
+            pools.append(workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, job, instances, chunksize=1):
+            return list(map(job, instances))
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     cpus = os.cpu_count() or 1
-    parse = cli.build_parser().parse_args
-    assert parse(_batch_args()).workers == 1
-    assert parse(_batch_args("--workers", "1")).workers == 1
-    assert parse(_batch_args("--workers", str(cpus))).workers == cpus
-    assert parse(_batch_args("--workers", str(cpus + 1))).workers == cpus
-    assert parse(_batch_args("--workers", "1000000")).workers == cpus
+    serial = run_batch("subsets", subsets(3, 2), "granville-period")
+    assert run_batch("subsets", subsets(3, 2), "granville-period", workers=cpus + 5) == serial
+    assert pools == ([cpus] if cpus > 1 else [])
+    pools.clear()
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    for workers in (1, 2, 3, 4, 10**6):
+        run_batch("subsets", subsets(3, 2), "granville-period", workers=workers)
+    assert pools == [2, 3, 3, 3]
+    assert run_cli(capsys, *_batch_args("--workers", "1000000"))[0] == 0
+    assert pools[-1] == 3
+    # with the CPU count unknown, one worker: the serial loop, and no pool
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    run_batch("subsets", subsets(3, 2), "granville-period", workers=10**6)
+    assert len(pools) == 5
 
 
 def test_run_batch_rejects_workers_below_one():
     from tilecert.families import run_batch, subsets
 
     for workers in (0, -1):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"worker count must be at least 1, got {workers}"):
             run_batch("subsets", subsets(3, 2), "granville-period", workers=workers)

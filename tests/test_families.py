@@ -77,7 +77,7 @@ def test_oversized_family_is_refused_before_any_instance():
     for kind, params in (("subsets", {"max_elem": 10**6, "max_size": 10**6}),
                          ("two-factor", {"m": 501, "n": 3}),
                          ("three-factor", {"m": 51})):
-        with pytest.raises(ValueError, match="over the batch limit of 1,000,000"):
+        with pytest.raises(ValueError, match="more than 1,000,000 instances, the batch limit"):
             build_family(kind, params)
     # the limit itself is allowed: 8 * 50**3 = 1,000,000
     assert FAMILIES["three-factor"][3](50) == families.MAX_INSTANCES
@@ -157,6 +157,18 @@ def test_product_violation_records(judge, spec, changes, record):
     assert got == record
     assert list(got) == list(record)
     assert [type(v) for v in got.values()] == [type(v) for v in record.values()]
+
+
+def test_keller_witness_judges_only_non_tower_zero_one_specs():
+    # a tower spec has no witness to find, and a spec that is not 0/1 has no set report
+    for spec in ("1:2,2:2,4:2", "1:3,1:3"):
+        facts = product_facts(ProductSpec.parse(spec))
+        assert judge_keller_witness({**facts, "keller_witness": None}) is None, spec
+
+
+def test_run_batch_rejects_an_unknown_family():
+    with pytest.raises(ValueError, match="unknown family 'nonsense'"):
+        run_batch("nonsense", [], "granville-period")
 
 
 def test_product_facts_are_the_product_report():

@@ -149,6 +149,14 @@ def test_cyclotomic_rejects_zero():
         cyclotomic(0)
 
 
+def test_below_one_is_refused():
+    for n in (0, -6):
+        with pytest.raises(ValueError, match=f"cannot factor {n}"):
+            factorize(n)
+        with pytest.raises(ValueError):
+            divides_cyclotomic(IntSet([0, 1]), n)
+
+
 def test_cyclotomic_at_one():
     assert cyclotomic_at_one(1) == 0
     assert cyclotomic_at_one(9) == 3

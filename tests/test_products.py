@@ -51,6 +51,10 @@ def test_spec_validation_and_parse():
     assert str(spec) == "1:2,3:2"
     with pytest.raises(ValueError):
         ProductSpec.parse("1-2")
+    with pytest.raises(ValueError, match="bad factor '1:x'"):
+        ProductSpec.parse("1:2,1:x")
+    # an empty token is skipped, not refused
+    assert ProductSpec.parse("1:2,, 3:2,") == spec
 
 
 def test_product_poly_examples():

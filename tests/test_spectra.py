@@ -47,6 +47,8 @@ def test_rational_spectrum_validation():
 def test_parse_thetas():
     assert parse_thetas("1/2, 1/4") == [F(1, 2), F(1, 4)]
     assert parse_thetas("-3/4,2,0.25,.5") == [F(-3, 4), F(2), F(1, 4), F(1, 2)]
+    # an empty token is skipped, not refused
+    assert parse_thetas("1/2,, 1/4,") == [F(1, 2), F(1, 4)]
     with pytest.raises(ValueError):
         parse_thetas("1/0")
     with pytest.raises(ValueError):
