@@ -16,7 +16,6 @@ import sys
 
 from . import __version__
 from .analysis import MAX_POWER_SUMS, classify_prime_power_cyclotomic, power_sums
-from .families import build_family, run_batch
 from .report import (
     analyze_set,
     classification_dict,
@@ -147,6 +146,9 @@ def _spectrum_payload(a: IntSet, mode: str, theta: str | None) -> dict:
 def _dispatch(args: argparse.Namespace) -> int:
     command, code = args.command, 0
     if command == "batch":
+        # families loads only here, so the other commands do not import it
+        from .families import build_family, run_batch
+
         kind, params = _parse_family(args.family)
         summary = run_batch(kind, build_family(kind, params), args.check, workers=args.workers)
         payload = {"params": params, **summary}

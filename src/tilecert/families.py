@@ -215,11 +215,17 @@ FAMILIES = {
 }
 
 
+def _family(kind: str) -> tuple:
+    """The ``FAMILIES`` entry of kind; an unknown kind is a ValueError."""
+    try:
+        return FAMILIES[kind]
+    except KeyError:
+        raise ValueError(f"unknown family {kind!r}") from None
+
+
 def build_family(kind: str, params: dict[str, int]) -> Iterator:
     """The instances of family kind; a bad kind or parameter, or a size over MAX_INSTANCES, is a ValueError."""
-    if kind not in FAMILIES:
-        raise ValueError(f"unknown family {kind!r}")
-    make, least, _, count = FAMILIES[kind]
+    make, least, _, count = _family(kind)
     unknown = params.keys() - least
     if unknown:
         raise ValueError(f"{kind} family takes no {sorted(unknown)}, only {list(least)}")
@@ -256,9 +262,7 @@ def run_batch(
     if workers < 1:
         raise ValueError(f"worker count must be at least 1, got {workers}")
     workers = min(workers, os.cpu_count() or 1)
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    judge = FAMILIES[family][2].get(check)
+    judge = _family(family)[2].get(check)
     if judge is None:
         raise ValueError(f"unknown check {check!r} for family {family!r}")
     job = functools.partial(_judge, judge)

@@ -9,8 +9,6 @@ are serialized as "p/q" strings, certificates as {"period", "complement"}.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .analysis import classify_prime_power_cyclotomic
 from .spectra import RationalSpectrum, construct_spectrum
 from .tileset import IntSet, check_t1, check_t2, cyclotomic_divisors

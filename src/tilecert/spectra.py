@@ -22,6 +22,11 @@ which decides each root condition, the difference 0 included, by one
 cyclotomic divisibility test.  Every function here takes the set as an
 ``IntSet`` and reads its elements as the exponents of A; none builds A
 densely.
+
+``fractions`` is imported inside the functions that build a ``Fraction``,
+not here: most sets fail (T1) or (T2) and so have no spectrum to build,
+and a one-shot ``tilecert analyze`` on them then skips the import of
+``fractions``, ``decimal`` and ``numbers``.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 
 from .intpoly import divides_cyclotomic
 from .tileset import CertificateError, IntSet, check_t1, check_t2, cyclotomic_divisors
@@ -43,6 +47,8 @@ class RationalSpectrum:
     thetas: tuple[Fraction, ...]
 
     def __init__(self, thetas: Iterable[Fraction]):
+        from fractions import Fraction
+
         ts = tuple(sorted(Fraction(t) for t in thetas))
         if any(not (0 < t < 1) for t in ts):
             raise ValueError("spectrum values must lie strictly inside (0, 1)")
@@ -67,6 +73,8 @@ def parse_thetas(text: str) -> list[Fraction]:
     is refused: ``Fraction("1e30000000")`` builds a 30-million-digit
     integer before anything could check it.
     """
+    from fractions import Fraction
+
     out = []
     for tok in text.split(","):
         tok = tok.strip()
@@ -104,6 +112,8 @@ def verify_spectrum(a: IntSet, thetas: Sequence[Fraction]) -> bool:
     yields False.  Only the root conditions are checked here -- whether
     len(thetas) + 1 matches the size of the set is the caller's concern.
     """
+    from fractions import Fraction
+
     pts = [Fraction(0)] + [Fraction(t) % 1 for t in thetas]
     if len(set(pts)) != len(pts):
         return False
@@ -131,6 +141,8 @@ def construct_spectrum(a: IntSet) -> RationalSpectrum | None:
     """
     if not (check_t1(a) and check_t2(a)):
         return None
+    from fractions import Fraction
+
     inv = cyclotomic_divisors(a)
     denominator = math.prod(group[-1] for _, group in inv.by_prime)
     sums = {0}
@@ -203,6 +215,8 @@ def spectrum_search_poly(a: IntSet) -> RationalSpectrum | None:
     candidates and N**2 / 2 pairs.  ``tilecert spectrum search 0,1000``
     takes about 1.5 s and ``0,3000`` about 14 s on a 2-core VM.
     """
+    from fractions import Fraction
+
     target = a.size - 1
     index_set = set(cyclotomic_divisors(a).indices)
     candidates = sorted(

@@ -1,8 +1,10 @@
+import json
 import os
 import pickle
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -136,15 +138,37 @@ def test_constructors_reject_non_integers():
     assert TilingCertificate(True, [False]) == TilingCertificate(1, [0])
 
 
-def test_cli_import_loads_no_class_machinery():
-    # -S leaves out site, so the modules found are those tilecert.cli imports
-    src = os.path.dirname(os.path.dirname(tilecert.__file__))
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); import tilecert.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
-    )
+SRC = os.path.dirname(os.path.dirname(tilecert.__file__))
+# modules a one-shot command pays for only when it uses them
+LAZY = ("fractions", "decimal", "numbers", "tilecert.families")
+
+
+def _bare_python(code: str) -> str:
+    """Stdout of code in a fresh ``python -E -S`` that imports tilecert from this tree."""
+    # -S leaves out site, so the modules found are those the code imports
     out = subprocess.run(
-        [sys.executable, "-E", "-S", "-c", code],
+        [sys.executable, "-E", "-S", "-c", f"import sys; sys.path.insert(0, {SRC!r}); {code}"],
         capture_output=True, text=True, check=True, timeout=60,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout
+
+
+def test_cli_import_loads_no_class_machinery():
+    names = {"dataclasses", "inspect", "typing", *LAZY}
+    code = f"import tilecert.cli; print(sorted({names!r} & set(sys.modules)))"
+    assert _bare_python(code).strip() == "[]"
+
+
+def test_analyze_loads_fractions_only_for_a_spectrum():
+    def analyze(text):
+        return _bare_python(
+            f"import tilecert.cli; tilecert.cli.main(['analyze', {text!r}]); "
+            f"print(sorted(set({LAZY!r}) & set(sys.modules)))"
+        )
+
+    # (T1) fails for {0,1,3}, so there is no spectrum and no Fraction
+    assert analyze("0,1,3").splitlines()[-1] == "[]"
+    # {0,1,8,9} tiles: its spectrum loads fractions, and its output is the recorded one
+    golden = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
+    expected = next(e["stdout"] for e in golden if e["command"] == "analyze 0,1,8,9")
+    assert analyze("0,1,8,9") == expected + "['decimal', 'fractions', 'numbers']\n"
